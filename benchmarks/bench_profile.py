@@ -8,13 +8,13 @@ workload) plus one JS-heavy document:
   anyway and reports the per-size breakdown.
 * **profiler overhead** — whole-scan slowdown with ``profile=True``
   versus the default pipeline, min-of-N on the Table X documents
-  (target <= 10%).  The *disabled* hook cost — one slot load + None
-  test per eval-loop dispatch — is measured directly and expressed as
-  a fraction of unprofiled scan time (target <= 1%; the disabled path
-  allocates nothing).
-* **hotspots** — the top-10 AST node types by accumulated self-time
-  across the whole corpus, i.e. where the emulator's time actually
-  goes.
+  (asserted <= 15%).  The *disabled* cost is measured directly and
+  expressed as a fraction of unprofiled scan time (asserted <= 1%):
+  unprofiled, the bytecode VM adds no work per instruction (its budget
+  check is the sampling check) and only a profile test per
+  ``_run_code`` frame and per call opcode.
+* **hotspots** — the top-10 AST node types by sampled self-time across
+  the whole corpus, i.e. where the emulator's time actually goes.
 
 Emits ``BENCH_profile.json``.  ``REPRO_PAPER_SCALE`` unlocks the full
 set up to 19.7 MB.
@@ -29,10 +29,15 @@ import time
 from repro.analysis import format_table
 from repro.core.pipeline import ProtectionPipeline
 from repro.corpus.sized import TABLE_X_SIZES, document_of_size, document_with_scripts
+from repro.js.vm import BytecodeInterpreter
 from repro.obs.profile import JSProfile
 
 SEED = 1404
 REPEATS = 5
+
+#: Asserted bounds on the profiler's cost, as a fraction of scan time.
+ENABLED_OVERHEAD_BOUND = 0.15
+DISABLED_OVERHEAD_BOUND = 0.01
 
 
 def table_x_bench_documents():
@@ -82,21 +87,42 @@ class _Holder:
         self._profile = None
 
 
-def _disabled_hook_seconds(dispatches):
-    """Directly measure the eval loop's disabled-path hook.
+def _disabled_hook_seconds(guards):
+    """Directly measure what profiling support costs an unprofiled scan.
 
-    When no profile is set the interpreter adds exactly one attribute
-    load and one ``is None`` test per dispatch; timing that pair in a
-    loop (loop overhead included, so this *over*-estimates) bounds the
-    disabled-profiler cost.
+    Unprofiled, the VM's per-instruction work is the budget check alone
+    (the same comparison is the sampling interrupt when profiled).  What
+    remains is one ``self._profile`` load and ``is None`` test per
+    ``_run_code`` frame, to pick the watermark, and one ``is not None``
+    test of a local per call opcode.  Timing the load + test pair once
+    per guard (loop overhead included) over-estimates both.
     """
     holder = _Holder()
     start = time.perf_counter()
-    for _ in range(max(1, dispatches)):
+    for _ in range(max(1, guards)):
         profile = holder._profile
         if profile is not None:  # never taken; mirrors the real branch
             raise AssertionError("holder must stay unprofiled")
     return time.perf_counter() - start
+
+
+def _count_frames(pipeline, documents):
+    """``_run_code`` frames (scripts, JS calls, try blocks, evals) in one pass."""
+    frames = 0
+    run_code = BytecodeInterpreter._run_code
+
+    def counting(self, *args):
+        nonlocal frames
+        frames += 1
+        return run_code(self, *args)
+
+    BytecodeInterpreter._run_code = counting
+    try:
+        for label, data in documents:
+            pipeline.scan(data, label)
+    finally:
+        BytecodeInterpreter._run_code = run_code
+    return frames
 
 
 def test_bench_profile(benchmark, emit, artifact):
@@ -109,7 +135,7 @@ def test_bench_profile(benchmark, emit, artifact):
     per_size = []
     merged = JSProfile()
     table_x_base = table_x_prof = 0.0
-    table_x_dispatches = 0
+    table_x_calls = 0
     for label, data in documents:
         base_seconds, prof_seconds = _best_pair_seconds(
             lambda d=data, n=label: baseline.scan(d, n),
@@ -125,10 +151,11 @@ def test_bench_profile(benchmark, emit, artifact):
             0.05 * max(profile.total_seconds, 1e-9)
         )
         merged.merge(profile.js)
-        dispatches = sum(profile.js.node_hits.values())
+        samples = sum(profile.js.node_hits.values())
+        calls = sum(row["calls"] for row in profile.js.call_sites(top=1_000_000))
         table_x_base += base_seconds
         table_x_prof += prof_seconds
-        table_x_dispatches += dispatches
+        table_x_calls += calls
         busiest = max(phases.items(), key=lambda kv: kv[1])
         rows.append(
             [
@@ -146,17 +173,22 @@ def test_bench_profile(benchmark, emit, artifact):
                 "profiled_seconds": prof_seconds,
                 "phases": phases,
                 "counters": dict(profile.counters),
-                "dispatches": dispatches,
+                "samples": samples,
+                "calls": calls,
             }
         )
 
     overhead_enabled = table_x_prof / table_x_base - 1.0
+    assert overhead_enabled <= ENABLED_OVERHEAD_BOUND, (
+        f"enabled profiler costs {overhead_enabled:.1%} of Table X scan time"
+    )
 
-    # -- disabled hook cost (measured, not asserted away) -----------------
-    hook_seconds = _disabled_hook_seconds(table_x_dispatches)
+    # -- disabled cost (measured, not asserted away) -----------------------
+    table_x_frames = _count_frames(baseline, documents)
+    hook_seconds = _disabled_hook_seconds(table_x_frames + table_x_calls)
     overhead_disabled = hook_seconds / table_x_base
-    assert overhead_disabled <= 0.01, (
-        f"disabled eval-loop hook costs {overhead_disabled:.2%} of scan time"
+    assert overhead_disabled <= DISABLED_OVERHEAD_BOUND, (
+        f"unprofiled profile checks cost {overhead_disabled:.2%} of scan time"
     )
 
     # -- hotspots: fold in a JS-heavy document so the ranking is about the
@@ -183,8 +215,8 @@ def test_bench_profile(benchmark, emit, artifact):
             rows,
         )
         + f"\nenabled overhead (corpus total): {overhead_enabled:+.1%}"
-        + f" | disabled hook cost: {overhead_disabled:.3%}"
-        + "\n\nTop JS AST-node hotspots (self time)\n"
+        + f" | disabled cost: {overhead_disabled:.3%}"
+        + "\n\nTop JS AST-node hotspots (sampled self time)\n"
         + format_table(["node", "self (ms)", "hits"], hot_rows)
     )
 
@@ -196,12 +228,13 @@ def test_bench_profile(benchmark, emit, artifact):
             "cores": os.cpu_count() or 1,
             "overhead": {
                 "enabled_ratio": overhead_enabled,
-                "enabled_target": 0.10,
+                "enabled_bound": ENABLED_OVERHEAD_BOUND,
                 "disabled_ratio": overhead_disabled,
-                "disabled_target": 0.01,
+                "disabled_bound": DISABLED_OVERHEAD_BOUND,
                 "baseline_seconds": table_x_base,
                 "profiled_seconds": table_x_prof,
-                "eval_dispatches": table_x_dispatches,
+                "vm_frames": table_x_frames,
+                "timed_calls": table_x_calls,
                 "disabled_hook_seconds": hook_seconds,
             },
             "per_size": per_size,

@@ -1,9 +1,11 @@
 """Table X (engine edition) — single-document scan time, ast vs bytecode.
 
 The headline artifact for the bytecode JS engine: every Table X size
-tier is scanned end to end (protect + monitored open) on both engines,
-verdict fingerprints are required to be identical, and the per-tier
-median speedup is recorded to ``BENCH_table10.json``.
+tier is scanned end to end (protect + monitored open) on the production
+VM and on the tree-walking oracle (swapped into the reader by
+``tests.js.oracle.reader_runs_oracle``), verdict fingerprints are
+required to be identical, and the per-tier median speedup is recorded
+to ``BENCH_table10.json``.
 
 Two corpora are measured:
 
@@ -22,12 +24,14 @@ the first — while the walker re-parses every script on every scan.
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import time
 
 from repro.analysis import format_table
 from repro.core.pipeline import PipelineSettings
 from repro.corpus.sized import table_x_documents, table_x_js_documents
+from tests.js.oracle import reader_runs_oracle
 
 #: Scan repeats per (engine, document); medians damp scheduler noise.
 ROUNDS = 3
@@ -54,19 +58,20 @@ def _fingerprint(report):
 
 def _scan_times(engine: str, documents, rounds: int = ROUNDS):
     """label -> (median_seconds, fingerprint) for one warmed pipeline."""
-    pipeline = PipelineSettings(js_engine=engine).build()
+    pipeline = PipelineSettings().build()
     results = {}
-    for label, data in documents:
-        name = f"{label}.pdf"
-        pipeline.scan(data, name)  # warm caches (and the VM's code cache)
-        times = []
-        fingerprint = None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            report = pipeline.scan(data, name)
-            times.append(time.perf_counter() - start)
-            fingerprint = _fingerprint(report)
-        results[label] = (statistics.median(times), fingerprint)
+    with reader_runs_oracle() if engine == "ast" else contextlib.nullcontext():
+        for label, data in documents:
+            name = f"{label}.pdf"
+            pipeline.scan(data, name)  # warm caches (and the VM's code cache)
+            times = []
+            fingerprint = None
+            for _ in range(rounds):
+                start = time.perf_counter()
+                report = pipeline.scan(data, name)
+                times.append(time.perf_counter() - start)
+                fingerprint = _fingerprint(report)
+            results[label] = (statistics.median(times), fingerprint)
     return results
 
 

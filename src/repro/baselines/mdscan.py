@@ -22,8 +22,9 @@ from repro.baselines.base import BaselineDetector
 from repro.baselines.features import extract_js_sources, parse_sample
 from repro.corpus.dataset import Sample
 from repro.js.errors import JSError
-from repro.js.interpreter import Host, Interpreter
+from repro.js.runtime import Host, Runtime
 from repro.js.values import JSArray, JSObject, NativeFunction, UNDEFINED
+from repro.js.vm import BytecodeInterpreter
 from repro.reader.payload import NOP, parse_payload
 
 #: Emulated-heap thresholds for "shellcode present".
@@ -35,7 +36,7 @@ class _EmulationHost(Host):
     """Collects candidate shellcode strings from the emulated heap."""
 
 
-def _stub_environment(interp: Interpreter) -> JSObject:
+def _stub_environment(interp: Runtime) -> JSObject:
     """Documented Acrobat objects only, with inert implementations."""
 
     def noop(i, t, a):  # noqa: ANN001 - native signature
@@ -91,7 +92,7 @@ class MDScanDetector(BaselineDetector):
         if not sources:
             return False
         host = _EmulationHost()
-        interp = Interpreter(host=host, max_steps=MAX_EMULATION_STEPS)
+        interp = BytecodeInterpreter(host=host, max_steps=MAX_EMULATION_STEPS)
         _stub_environment(interp)
         for code in sources:
             try:

@@ -49,6 +49,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.batch.scanner import DEFAULT_BACKEND
 from repro.core.chains import analyze_chains
 from repro.core.deinstrument import DeinstrumentationSpec, deinstrument
 from repro.core.pipeline import ProtectionPipeline
@@ -92,13 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'stream-bytes=8mb,deadline=5' ('off' disables a budget; "
         "see docs/HARDENING.md)",
     )
-    scan.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for the reader session (default: REPRO_JS_ENGINE "
-        "env var, then bytecode; verdicts are engine-independent)",
-    )
 
     lint = sub.add_parser("lint", help="static JS analysis only")
     lint.add_argument("file", type=Path, help="a PDF or a bare .js source file")
@@ -129,9 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--jobs", type=int, default=4, help="worker count")
     batch.add_argument(
         "--backend",
-        default="process",
+        default=DEFAULT_BACKEND,
         choices=("thread", "process"),
-        help="worker pool kind (process = CPU parallelism; default)",
+        help=f"worker pool kind (default {DEFAULT_BACKEND}; process = "
+        "CPU parallelism at a fork/pickle cost per document)",
     )
     batch.add_argument(
         "--timeout",
@@ -187,13 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile every scan: per-item phase breakdown in the "
         "report, aggregated phase totals in the summary",
     )
-    batch.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for every worker (default: REPRO_JS_ENGINE env "
-        "var, then bytecode)",
-    )
 
     serve = sub.add_parser("serve", help="long-running scan service daemon")
     serve.add_argument("--host", default="127.0.0.1")
@@ -203,9 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--jobs", type=int, default=4, help="scan worker count")
     serve.add_argument(
-        "--backend", default="thread", choices=("thread", "process"),
-        help="worker pool kind (default thread: workers share the "
-        "verdict cache cheaply)",
+        "--backend", default=DEFAULT_BACKEND, choices=("thread", "process"),
+        help=f"worker pool kind (default {DEFAULT_BACKEND})",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=32, metavar="N",
@@ -267,13 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="slow-scan exemplars retained in the ring buffer "
         "(default 32)",
     )
-    serve.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for every scan worker (default: REPRO_JS_ENGINE "
-        "env var, then bytecode)",
-    )
 
     cluster = sub.add_parser(
         "cluster", help="sharded scan cluster (router + N shard processes)"
@@ -292,9 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scan workers inside each shard (default 2)",
     )
     cluster.add_argument(
-        "--backend", default=None, choices=("thread", "process"),
-        help="worker pool kind inside each shard (default: the "
-        "measured-fastest batch backend)",
+        "--backend", default=DEFAULT_BACKEND, choices=("thread", "process"),
+        help=f"worker pool kind inside each shard (default {DEFAULT_BACKEND})",
     )
     cluster.add_argument(
         "--queue-depth", type=int, default=16, metavar="N",
@@ -361,13 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="collect per-shard metrics and print a router summary to "
         "stderr on exit",
     )
-    cluster.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for every scan worker (default: REPRO_JS_ENGINE "
-        "env var, then bytecode)",
-    )
 
     report = sub.add_parser("report", help="aggregate a scan trace")
     report.add_argument("trace", type=Path)
@@ -393,13 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limits", metavar="K=V,...",
         help="resource-budget overrides (see docs/HARDENING.md)",
     )
-    profile.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine to profile (note: the bytecode engine falls "
-        "back to the reference walker while a profiler is attached)",
-    )
     return parser
 
 
@@ -416,12 +381,12 @@ def _build_scan_obs(args: argparse.Namespace):
 
 
 def _parse_limits_arg(args: argparse.Namespace):
-    """Resolve ``--limits`` to a ScanLimits (None = defaults)."""
-    from repro.limits import ScanLimits
+    """Resolve ``--limits`` to a ScanLimits (the defaults when absent)."""
+    from repro.limits import DEFAULT_LIMITS, ScanLimits
 
     spec = getattr(args, "limits", None)
     if spec is None:
-        return None
+        return DEFAULT_LIMITS
     return ScanLimits.parse(spec)
 
 
@@ -439,7 +404,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return 2
     pipeline = ProtectionPipeline(
         reader_version=args.reader_version, triage=args.triage,
-        limits=limits, js_engine=args.js_engine, obs=obs,
+        limits=limits, obs=obs,
     )
     report = pipeline.scan(data, args.file.name)
     verdict = report.verdict
@@ -571,7 +536,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     pipeline = ProtectionPipeline(
         reader_version=args.reader_version, limits=limits, profile=True,
-        js_engine=args.js_engine,
     )
     report = pipeline.scan(data, args.file.name)
     profile = report.profile
@@ -607,7 +571,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"counters: {counts}")
         hotspots = profile.js.hotspots(args.top)
         if hotspots:
-            print(f"top {len(hotspots)} AST node hotspots (self time):")
+            print(f"top {len(hotspots)} AST node hotspots (sampled self time, x samples):")
             for row in hotspots:
                 print(
                     f"  {row['node']:<24} {row['self_seconds'] * 1000:9.3f}ms"
@@ -726,16 +690,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: bad --limits: {error}", file=sys.stderr)
         return 2
-    if limits is not None:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            limits=limits, profile=args.profile, js_engine=args.js_engine,
-        )
-    else:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            profile=args.profile, js_engine=args.js_engine,
-        )
+    settings = PipelineSettings(
+        reader_version=args.reader_version, triage=args.triage,
+        limits=limits, profile=args.profile,
+    )
     if args.no_cache:
         cache = False
     elif args.cache is not None:
@@ -796,16 +754,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: bad --limits: {error}", file=sys.stderr)
         return 2
-    if limits is not None:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            limits=limits, js_engine=args.js_engine,
-        )
-    else:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            js_engine=args.js_engine,
-        )
+    settings = PipelineSettings(
+        reader_version=args.reader_version, triage=args.triage, limits=limits,
+    )
     if args.no_cache:
         cache = False
     elif args.cache is not None:
@@ -885,16 +836,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: bad --limits: {error}", file=sys.stderr)
         return 2
-    if limits is not None:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            limits=limits, js_engine=args.js_engine,
-        )
-    else:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            js_engine=args.js_engine,
-        )
+    settings = PipelineSettings(
+        reader_version=args.reader_version, triage=args.triage, limits=limits,
+    )
     address = None
     if args.cache_server is not None:
         host, _, port_text = args.cache_server.rpartition(":")
@@ -927,9 +871,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         probe_interval=args.probe_interval,
         probe_timeout=args.probe_timeout,
         shard_metrics=args.metrics,
+        backend=args.backend,
     )
-    if args.backend is not None:
-        config_kwargs["backend"] = args.backend
     try:
         config = ClusterConfig(**config_kwargs)
     except ValueError as error:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro import obs as obs_mod
-from repro.batch.scanner import BatchScanner, _settings_fingerprint
+from repro.batch.scanner import DEFAULT_BACKEND, BatchScanner, _settings_fingerprint
 from repro.cluster.cache import CacheSpec, build_backend
 from repro.cluster.transport import (
     Address,
@@ -57,7 +57,7 @@ class ShardConfig:
     shard_id: int
     settings: Optional[PipelineSettings] = None
     jobs: int = 2
-    backend: str = "thread"
+    backend: str = DEFAULT_BACKEND
     queue_depth: int = 16
     max_in_flight: Optional[int] = None
     deadline_seconds: Optional[float] = 30.0

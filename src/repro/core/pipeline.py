@@ -229,7 +229,6 @@ class MonitoredSession:
         persistent_executables: Optional[Dict[str, str]] = None,
         limits: Optional[ScanLimits] = None,
         obs: Optional[obs_mod.Observability] = None,
-        js_engine: Optional[str] = None,
     ) -> None:
         self.system = System()
         self.limits = limits if limits is not None else DEFAULT_LIMITS
@@ -261,7 +260,6 @@ class MonitoredSession:
             detector_channel=self.event_channel,
             max_js_steps=js_steps if js_steps is not None else 20_000_000,
             obs=self.obs,
-            js_engine=js_engine,
         )
 
     def open(
@@ -341,13 +339,6 @@ class PipelineSettings:
     #: Attach a :class:`~repro.obs.profile.ScanProfile` (phase timings +
     #: JS hotspots) to every ``OpenReport`` this pipeline produces.
     profile: bool = False
-    #: JS engine used by reader sessions: ``"ast"`` (reference
-    #: tree-walker) or ``"bytecode"`` (compiled).  ``None`` defers to the
-    #: ``REPRO_JS_ENGINE`` env var, then the package default — see
-    #: :func:`repro.js.resolve_js_engine`.  Both engines produce
-    #: identical observed API channels, monitor events and verdicts
-    #: (enforced by ``tests/js/test_differential.py``).
-    js_engine: Optional[str] = None
 
     def build(self, obs: Optional[obs_mod.Observability] = None) -> "ProtectionPipeline":
         """A fresh, fully independent pipeline with these settings."""
@@ -359,7 +350,6 @@ class PipelineSettings:
             triage=self.triage,
             limits=self.limits,
             profile=self.profile,
-            js_engine=self.js_engine,
             obs=obs,
         )
 
@@ -377,7 +367,6 @@ class ProtectionPipeline:
         triage: bool = False,
         limits: Optional[ScanLimits] = None,
         profile: bool = False,
-        js_engine: Optional[str] = None,
         obs: Optional[obs_mod.Observability] = None,
     ) -> None:
         self.config = config if config is not None else DetectorConfig()
@@ -385,7 +374,6 @@ class ProtectionPipeline:
         self.hook_mode = hook_mode
         self.triage = triage
         self.profile = profile
-        self.js_engine = js_engine
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self.settings = PipelineSettings(
             reader_version=reader_version,
@@ -395,7 +383,6 @@ class ProtectionPipeline:
             triage=triage,
             limits=self.limits,
             profile=profile,
-            js_engine=js_engine,
         )
         self.obs = obs if obs is not None else obs_mod.get_default()
         self.key_store = KeyStore.create(seed)
@@ -465,7 +452,6 @@ class ProtectionPipeline:
             persistent_executables=self.persistent_executables,
             limits=self.limits,
             obs=self.obs,
-            js_engine=self.js_engine,
         )
 
     def open_protected(

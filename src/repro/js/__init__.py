@@ -1,4 +1,4 @@
-"""A from-scratch JavaScript interpreter (ES3-ish subset).
+"""A from-scratch JavaScript engine (ES3-ish subset).
 
 Built because the paper's instrumentation executes *inside* the PDF
 reader's JavaScript engine: the context monitoring code must really run
@@ -9,77 +9,45 @@ dispatch — including into the version-gated exploit registry.
 
 Public surface::
 
-    from repro.js import Interpreter, JSRuntimeError, evaluate
+    from repro.js import JSRuntimeError, evaluate, make_interpreter
     result = evaluate("var x = 2; x * 21")   # -> 42.0
 """
 
-import os
-from typing import Optional
+from typing import Any, Optional
 
 from repro.js.errors import JSRuntimeError, JSSyntaxError, ResourceLimitExceeded
-from repro.js.interpreter import Interpreter, evaluate
+from repro.js.runtime import Host, Runtime
 from repro.js.values import JSArray, JSFunction, JSObject, UNDEFINED
 
-#: Engines selectable via ``PipelineSettings.js_engine`` / ``--js-engine``.
-#: "ast" is the reference tree-walker; "bytecode" is the compiled engine
-#: (repro.js.compiler + repro.js.vm), proven equivalent by the differential
-#: suite and the default since PR 7.
-JS_ENGINES = ("ast", "bytecode")
-DEFAULT_JS_ENGINE = "bytecode"
 
-_ENGINE_ENV_VAR = "REPRO_JS_ENGINE"
+def make_interpreter(*, host: Optional[Host] = None, max_steps: int = 2_000_000) -> Runtime:
+    """A fresh :class:`~repro.js.vm.BytecodeInterpreter`.
 
-
-def resolve_js_engine(value: Optional[str] = None) -> str:
-    """Resolve an engine selection to a concrete engine name.
-
-    Precedence: explicit ``value`` -> ``REPRO_JS_ENGINE`` env var ->
-    :data:`DEFAULT_JS_ENGINE`.  Raises ``ValueError`` on unknown names so a
-    typo in configuration fails loudly instead of silently scanning with the
-    wrong engine.
+    The VM is imported lazily so merely importing ``repro.js`` never
+    pays for (or depends on) the compiler.
     """
-    if value is None:
-        value = os.environ.get(_ENGINE_ENV_VAR) or None
-    if value is None:
-        return DEFAULT_JS_ENGINE
-    if value not in JS_ENGINES:
-        raise ValueError(
-            f"unknown JS engine {value!r} (expected one of {', '.join(JS_ENGINES)})"
-        )
-    return value
+    from repro.js.vm import BytecodeInterpreter
+
+    return BytecodeInterpreter(host=host, max_steps=max_steps)
 
 
-def make_interpreter(
-    engine: Optional[str] = None,
-    *,
-    host: object = None,
-    max_steps: int = 2_000_000,
-) -> Interpreter:
-    """Construct the selected JS engine (see :func:`resolve_js_engine`).
+def evaluate(source: str, **kwargs: Any) -> Any:
+    """One-shot convenience: run ``source`` in a fresh engine."""
+    from repro.js.vm import BytecodeInterpreter
 
-    The bytecode VM is imported lazily so merely importing ``repro.js``
-    never pays for (or depends on) the compiler.
-    """
-    resolved = resolve_js_engine(engine)
-    if resolved == "bytecode":
-        from repro.js.vm import BytecodeInterpreter
-
-        return BytecodeInterpreter(host=host, max_steps=max_steps)
-    return Interpreter(host=host, max_steps=max_steps)
+    return BytecodeInterpreter(**kwargs).run(source)
 
 
 __all__ = [
-    "DEFAULT_JS_ENGINE",
-    "Interpreter",
+    "Host",
     "JSArray",
     "JSFunction",
     "JSObject",
     "JSRuntimeError",
     "JSSyntaxError",
-    "JS_ENGINES",
     "ResourceLimitExceeded",
+    "Runtime",
     "UNDEFINED",
     "evaluate",
     "make_interpreter",
-    "resolve_js_engine",
 ]

@@ -444,7 +444,7 @@ def _number_to_string(value: float, args: List[Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Array methods (shared, dispatched from Interpreter.get_property)
+# Array methods (shared, dispatched from Runtime.get_property)
 
 
 def array_method(interp: Any, array: JSArray, name: str) -> Any:

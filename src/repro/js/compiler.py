@@ -2,13 +2,14 @@
 
 Compiles the tree produced by :mod:`repro.js.parser` into flat
 instruction tuples executed by :class:`repro.js.vm.BytecodeInterpreter`.
-The tree-walking :class:`repro.js.interpreter.Interpreter` stays the
-reference semantics; everything here is defined in terms of it:
+The reference tree-walker (``tests/js/oracle.py``, the differential
+oracle) defines the semantics; everything here is defined in terms of
+it:
 
 * **Charge aggregation.**  The walker charges one step per
   ``exec_statement`` / ``eval_expression`` entry, pre-order.  The
-  compiler accrues those ticks into a ``pending`` counter and attaches
-  the sum to the *next emitted instruction*, so the interpreter charges
+  compiler accrues those ticks into a ``pending`` list and attaches
+  their count to the *next emitted instruction*, so the interpreter charges
   the budget at exactly the walker's pre-order points (and a budget
   blow happens before the same side effect in both engines).  Pending
   charges are flushed (as a ``NOP``) before any jump label is bound.
@@ -135,7 +136,11 @@ INIT_ARGUMENTS = 2
 
 
 class Code:
-    """One compiled fragment: flat ops + parallel args and charges.
+    """One compiled fragment: flat ops + parallel args, charges and kinds.
+
+    ``kinds[i]`` names, in pre-order, the AST node type of each walker
+    tick that instruction ``i`` charges (``len(kinds[i]) ==
+    charges[i]``); the VM reads it only when it takes a profiler sample.
 
     ``kind`` is ``"program"`` (tracks a completion value; ``return``
     raises, exactly like the walker's top level / ``eval``) or
@@ -146,7 +151,7 @@ class Code:
 
     __slots__ = (
         "kind", "mode", "completion", "name", "params", "body",
-        "ops", "args", "charges", "nlocals", "slot_names", "init_plan",
+        "ops", "args", "charges", "kinds", "nlocals", "slot_names", "init_plan",
         "hoist_actions", "regions", "consts", "instrs",
     )
 
@@ -168,6 +173,7 @@ class Code:
         self.ops: Tuple[int, ...] = ()
         self.args: Tuple[Any, ...] = ()
         self.charges: Tuple[int, ...] = ()
+        self.kinds: Tuple[Tuple[str, ...], ...] = ()
         self.nlocals = 0
         self.slot_names: Tuple[str, ...] = ()
         self.init_plan: Tuple[Tuple[int, int, int, bool], ...] = ()
@@ -205,13 +211,17 @@ class _Loop:
 class _Frag:
     """Mutable state for one fragment being emitted."""
 
-    __slots__ = ("ops", "args", "charges", "pending", "loops", "forin_depth", "regions")
+    __slots__ = (
+        "ops", "args", "charges", "kinds", "pending", "loops", "forin_depth", "regions",
+    )
 
     def __init__(self) -> None:
         self.ops: List[int] = []
         self.args: List[Any] = []
         self.charges: List[int] = []
-        self.pending = 0
+        self.kinds: List[Tuple[str, ...]] = []
+        #: AST node types of the ticks the next instruction will charge.
+        self.pending: List[str] = []
         self.loops: List[_Loop] = []
         self.forin_depth = 0
         self.regions: List[Tuple[int, int, int, int, int, int]] = []
@@ -296,8 +306,9 @@ class Compiler:
         frag = self.f
         frag.ops.append(op)
         frag.args.append(arg)
-        frag.charges.append(frag.pending)
-        frag.pending = 0
+        frag.charges.append(len(frag.pending))
+        frag.kinds.append(tuple(frag.pending))
+        frag.pending = []
         return len(frag.ops) - 1
 
     def _flush(self) -> None:
@@ -410,6 +421,7 @@ class Compiler:
             code.ops = tuple(frag.ops)
             code.args = tuple(frag.args)
             code.charges = tuple(frag.charges)
+            code.kinds = tuple(frag.kinds)
             code.regions = tuple(frag.regions)
             code.consts = self._build_const_pool(frag)
             if scope is not None:
@@ -448,7 +460,7 @@ class Compiler:
     _scope_stack: List[Optional[Dict[str, int]]]
     _completion_stack: List[bool]
 
-    # -- hoisting (mirrors Interpreter._hoist_one, including order) --------
+    # -- hoisting (mirrors the walker's _hoist_one, including order) -------
 
     def _collect_hoist(self, statements: List[ast.Node], out: List[Tuple[Any, ...]]) -> None:
         for statement in statements:
@@ -489,7 +501,7 @@ class Compiler:
     # -- statements --------------------------------------------------------
 
     def _stmt(self, node: ast.Node) -> None:
-        self.f.pending += 1  # the walker's exec_statement tick
+        self.f.pending.append(type(node).__name__)  # the walker's exec_statement tick
         self._STMT_TABLE[type(node)](self, node)
 
     def _set_compl_undef(self) -> None:
@@ -537,7 +549,7 @@ class Compiler:
         scope = self._scope_stack[-1]
         if scope is None or target.name not in scope:
             return False
-        self.f.pending += 2
+        self.f.pending.extend(("UpdateExpression", "Identifier"))
         self._emit(INC_SLOT, (scope[target.name], 1.0 if node.op == "++" else -1.0))
         return True
 
@@ -817,7 +829,7 @@ class Compiler:
     # -- expressions -------------------------------------------------------
 
     def _expr(self, node: ast.Node) -> None:
-        self.f.pending += 1  # the walker's eval_expression tick
+        self.f.pending.append(type(node).__name__)  # the walker's eval_expression tick
         self._EXPR_TABLE[type(node)](self, node)
 
     def _expr_charge(self, node: ast.Node) -> None:
@@ -901,11 +913,11 @@ class Compiler:
             if isinstance(node.operand, ast.Identifier):
                 scope = self._scope_stack[-1]
                 if scope is not None and node.operand.name in scope:
-                    self.f.pending += 1  # the identifier's tick
+                    self.f.pending.append("Identifier")  # the identifier's tick
                     self._emit(LOAD_SLOT, scope[node.operand.name])
                     self._emit(TYPEOF)
                 else:
-                    self.f.pending += 1
+                    self.f.pending.append("Identifier")
                     self._emit(TYPEOF_NAME, node.operand.name)
             else:
                 self._expr(node.operand)
@@ -914,7 +926,7 @@ class Compiler:
         if node.op == "delete":
             if isinstance(node.operand, ast.MemberExpression):
                 member = node.operand
-                self.f.pending += 1  # normalized charge for the member node
+                self.f.pending.append("MemberExpression")  # normalized member charge
                 self._expr(member.obj)
                 if member.computed:
                     self._expr(member.prop)
@@ -980,11 +992,11 @@ class Compiler:
         if node.op == "=":
             self._expr(node.value)
             if isinstance(target, ast.Identifier):
-                self.f.pending += 1  # normalized charge for the target node
+                self.f.pending.append("Identifier")  # normalized target charge
                 self._emit_store_identifier(target.name)
                 return
             if isinstance(target, ast.MemberExpression):
-                self.f.pending += 1
+                self.f.pending.append("MemberExpression")
                 self._expr(target.obj)
                 if target.computed:
                     self._expr(target.prop)
@@ -1037,7 +1049,7 @@ class Compiler:
     def _c_CallExpression(self, node: ast.CallExpression) -> None:
         callee = node.callee
         if isinstance(callee, ast.MemberExpression):
-            self.f.pending += 1  # normalized charge for the callee member
+            self.f.pending.append("MemberExpression")  # normalized callee charge
             self._expr(callee.obj)
             if callee.computed:
                 self._expr(callee.prop)
@@ -1156,11 +1168,6 @@ def compile_source(source: str) -> Code:
         while len(_CODE_CACHE) > _CACHE_CAP:
             _CODE_CACHE.popitem(last=False)
     return code
-
-
-def compile_function_body(fn_name: str, params: List[str], body: ast.Block) -> Code:
-    """Compile a foreign :class:`JSFunction`'s body (uncached entry)."""
-    return Compiler().compile_function(fn_name or None, params, body)
 
 
 def clear_code_cache() -> None:

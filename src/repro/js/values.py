@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.js import nodes as ast
-    from repro.js.interpreter import Environment, Interpreter
+    from repro.js.runtime import Environment, Runtime
 
 
 class _Undefined:
@@ -165,7 +165,7 @@ class NativeFunction(JSObject):
     ``fn`` receives ``(interpreter, this, args)`` and returns a JS value.
     """
 
-    def __init__(self, name: str, fn: Callable[["Interpreter", Any, List[Any]], Any]) -> None:
+    def __init__(self, name: str, fn: Callable[["Runtime", Any, List[Any]], Any]) -> None:
         super().__init__(class_name="Function")
         self.name = name
         self.fn = fn

@@ -1,36 +1,41 @@
-"""Bytecode VM: executes :class:`repro.js.compiler.Code` fragments.
+"""Bytecode VM: the production JavaScript engine.
 
-:class:`BytecodeInterpreter` subclasses the tree-walking
-:class:`~repro.js.interpreter.Interpreter` and reuses its entire value
-model, builtins, host wiring, ``_binary_op``, ``get_property`` and
-construction/assignment kernels — only the evaluation loop is replaced.
-The two engines are required to agree bit-for-bit on observed API
-channels, monitor events, step counts and verdicts; anything the VM
-cannot express identically (a JSProfile hotspot recorder, which
-attributes time per AST node kind) transparently falls back to the
-walker, the way enabling a debugger disables a JIT.
+:class:`BytecodeInterpreter` executes :class:`repro.js.compiler.Code`
+fragments on top of the shared :class:`~repro.js.runtime.Runtime`
+(value model, builtins, host wiring, ``_binary_op``, ``get_property``
+and the construction/assignment/call kernels); only the evaluation loop
+lives here.  The reference tree-walker in the test suite is its
+differential oracle: both must agree bit-for-bit on observed API
+channels, monitor events, step counts and verdicts.
 
 Step budgets are charged from per-instruction aggregated charges (see
 the compiler's charge-aggregation notes).  When the budget blows, the
 final ``steps`` value is clamped to ``max_steps + 1`` — exactly the
-count the walker's per-node ``_tick`` leaves behind — because the
+count the walker's per-node tick leaves behind — because the
 simulated reader advances its virtual clock by the step delta even for
 aborted scripts.
+
+**Profiling** reuses the budget check as a sampling interrupt.  The
+loop compares the step counter against a local *watermark*: without a
+profile that is ``max_steps``, so the unprofiled loop does exactly the
+per-instruction work of the budget check alone.  With a
+:class:`~repro.obs.profile.JSProfile` attached the watermark is the
+next sample point, about every :data:`SAMPLE_STEPS` steps.  Crossing it
+samples the AST node whose tick crossed it (``Code.kinds``), so sampled
+hits are proportional to the walker's per-node dispatch counts.
+Samples are placed by step count: the same document always yields the
+same hit counts.  Call sites are timed at the call boundary
+(:meth:`Runtime._call`), which the call opcodes route through only
+while a profile is attached.
 """
 
 from __future__ import annotations
 
 from types import FunctionType
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.js.builtins import STRING_METHODS
-from repro.js.compiler import (
-    Code,
-    INIT_ARG,
-    INIT_SELF,
-    compile_function_body,
-    compile_source,
-)
+from repro.js.compiler import Code, INIT_ARG, INIT_SELF, compile_source
 from repro.js.errors import (
     BreakSignal,
     ContinueSignal,
@@ -40,7 +45,7 @@ from repro.js.errors import (
     ResourceLimitExceeded,
     ReturnSignal,
 )
-from repro.js.interpreter import Environment, Host, Interpreter
+from repro.js.runtime import Environment, Host, Runtime
 from repro.js.values import (
     JSArray,
     JSFunction,
@@ -61,13 +66,18 @@ from repro.js.values import (
 #: UNDEFINED through RETURN, falling off yields this sentinel.
 NO_RETURN = object()
 
+#: Mean steps between two profiler samples.  Each gap is drawn from
+#: ``[SAMPLE_STEPS // 2, 3 * SAMPLE_STEPS // 2)`` by a fixed-seed
+#: generator, so a loop whose period divides the gap cannot alias every
+#: sample onto one node, yet a rerun samples the very same steps.
+SAMPLE_STEPS = 64
+
 
 class CompiledFunction(JSFunction):
-    """A JSFunction that also carries its compiled Code.
+    """A JS function value whose body is compiled :class:`Code`.
 
-    It *is* a JSFunction (real body AST + closure), so the walker can
-    execute it, ``typeof``/``instanceof``/``prototype`` behave
-    identically, and profiled runs can fall back to AST execution.
+    Subclassing :class:`JSFunction` keeps ``typeof``, ``instanceof``,
+    ``prototype`` and ``toString`` identical to any user function.
     """
 
     def __init__(self, code: Code, closure: Environment) -> None:
@@ -76,8 +86,8 @@ class CompiledFunction(JSFunction):
         self.code = code
 
 
-class BytecodeInterpreter(Interpreter):
-    """Drop-in replacement for Interpreter backed by compiled bytecode."""
+class BytecodeInterpreter(Runtime):
+    """The JavaScript engine: compiles source, then runs the bytecode."""
 
     def __init__(
         self,
@@ -86,25 +96,30 @@ class BytecodeInterpreter(Interpreter):
         install_builtins: bool = True,
     ) -> None:
         super().__init__(host=host, max_steps=max_steps, install_builtins=install_builtins)
-        # id(body) -> (body, code) for foreign (walker-created)
-        # JSFunctions; the body reference keeps the id stable.
-        self._foreign_codes: Dict[int, Tuple[Any, Code]] = {}
+        #: Step count past which the next profiler sample is taken, and
+        #: the generator state that spaces samples.
+        self._sample_at = 0
+        self._sample_seed = 1
 
-    # -- public API (same shape as the walker) ---------------------------
+    # -- public API --------------------------------------------------------
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
-        if self._profile is not None:
-            # JSProfile needs per-AST-node attribution: use the walker.
-            return super().run(source, this, env)
         code = compile_source(source)
         scope = env if env is not None else self.global_env
         this_value = this if this is not None else self.global_this
         self._exec_hoist(code, scope)
-        return self._run_code(code, scope, this_value, None)
+        profile = self._profile
+        if profile is None:
+            return self._run_code(code, scope, this_value, None)
+        # Sample the first charged instruction, and stop billing node
+        # time when the script returns (the reader runs host code next).
+        self._sample_at = self.steps
+        try:
+            return self._run_code(code, scope, this_value, None)
+        finally:
+            profile.pause()
 
     def eval_in_scope(self, code: Any, env: Environment, this: Any) -> Any:
-        if self._profile is not None:
-            return super().eval_in_scope(code, env, this)
         if not isinstance(code, str):
             return code
         compiled = compile_source(code)
@@ -114,22 +129,14 @@ class BytecodeInterpreter(Interpreter):
     # -- calls -----------------------------------------------------------
 
     def _call_inner(self, fn: Any, this: Any, args: List[Any]) -> Any:
-        if self._profile is not None:
-            return super()._call_inner(fn, this, args)
-        if isinstance(fn, CompiledFunction):
+        tfn = type(fn)
+        if tfn is CompiledFunction:
             return self._call_with_code(fn.code, fn, this, args)
-        if isinstance(fn, NativeFunction):
+        if tfn is NativeFunction:
             return fn.fn(self, this, args)
-        if isinstance(fn, JSFunction):
-            # A function object built outside this VM (e.g. by walker
-            # code sharing the same globals): compile its body once.
-            key = id(fn.body)
-            entry = self._foreign_codes.get(key)
-            if entry is None or entry[0] is not fn.body:
-                entry = (fn.body, compile_function_body(fn.name, fn.params, fn.body))
-                self._foreign_codes[key] = entry
-            return self._call_with_code(entry[1], fn, this, args)
-        raise JSRuntimeError("value is not callable", "TypeError")
+        if tfn is FunctionType:  # a raw STRING_METHODS builtin
+            return fn(self, this, args)
+        return super()._call_inner(fn, this, args)
 
     def _call_with_code(self, code: Code, fn: JSFunction, this: Any, args: List[Any]) -> Any:
         if code.mode == "slot":
@@ -214,6 +221,30 @@ class BytecodeInterpreter(Interpreter):
                     return fout
         return result
 
+    # -- profiling -------------------------------------------------------
+
+    def _sample(self, code: Code, ip: int) -> int:
+        """Slow path of a profiled budget check; returns the new watermark.
+
+        The sample goes to the node whose tick crossed the sample point
+        (an instruction's charge carries its ticks in pre-order, see
+        ``Code.kinds``).  A frame's watermark goes stale when a callee
+        samples, so the shared sample point is checked first.
+        """
+        profile = self._profile
+        if profile is None:
+            return self.max_steps
+        steps = self.steps
+        sample_at = self._sample_at
+        if steps > sample_at:
+            ticks = code.kinds[ip]
+            crossed = sample_at - (steps - len(ticks))
+            profile.sample(ticks[crossed if crossed > 0 else 0])
+            seed = (self._sample_seed * 1103515245 + 12345) & 0x7FFFFFFF
+            self._sample_seed = seed
+            self._sample_at = steps + SAMPLE_STEPS // 2 + (seed >> 16) % SAMPLE_STEPS
+        return min(self._sample_at, self.max_steps)
+
     # -- the dispatch loop -------------------------------------------------
 
     def _run_code(
@@ -233,6 +264,10 @@ class BytecodeInterpreter(Interpreter):
         n = len(instrs)
         max_steps = self.max_steps
         steps = self.steps
+        profile = self._profile
+        # The budget check doubles as the sampling interrupt (see the
+        # module notes): unprofiled, the watermark is the budget itself.
+        limit = max_steps if profile is None else min(self._sample_at, max_steps)
         stack: List[Any] = []
         iters: List[Any] = []
         compl: Any = UNDEFINED
@@ -254,16 +289,19 @@ class BytecodeInterpreter(Interpreter):
                         pc = ip + 1
                         if c:
                             steps += c
-                            if steps > max_steps:
-                                # Clamp so the final count equals the
-                                # walker's (it raises at max+1); the
-                                # reader bills virtual time by delta.
-                                steps = max_steps + 1
+                            if steps > limit:
+                                if steps > max_steps:
+                                    # Clamp so the final count equals the
+                                    # walker's (it raises at max+1); the
+                                    # reader bills virtual time by delta.
+                                    steps = max_steps + 1
+                                    self.steps = steps
+                                    raise ResourceLimitExceeded(
+                                        "js-steps", max_steps,
+                                        "script exceeded its step budget",
+                                    )
                                 self.steps = steps
-                                raise ResourceLimitExceeded(
-                                    "js-steps", max_steps,
-                                    "script exceeded its step budget",
-                                )
+                                limit = self._sample(code, ip)
                         if op == 0:  # LOAD_NAME
                             push(env_lookup(arg))
                         elif op == 1:  # LOAD_SLOT
@@ -363,7 +401,6 @@ class BytecodeInterpreter(Interpreter):
                                     tobj is JSObject
                                     or tobj is NativeFunction
                                     or tobj is CompiledFunction
-                                    or tobj is JSFunction
                                 )
                                 and arg in obj.properties
                             ):
@@ -382,7 +419,16 @@ class BytecodeInterpreter(Interpreter):
                             fn = pop()
                             receiver = pop()
                             tfn = type(fn)
-                            if tfn is FunctionType:
+                            if profile is not None:
+                                if tfn is not FunctionType and not is_callable(fn):
+                                    raise JSRuntimeError(
+                                        f"{name} is not a function", "TypeError"
+                                    )
+                                self.steps = steps
+                                result = self._call(fn, receiver, call_args, name)
+                                steps = self.steps
+                                push(result)
+                            elif tfn is FunctionType:
                                 # String-method fast path: fn is the raw
                                 # builtin from STRING_METHODS.
                                 push(fn(self, receiver, call_args))
@@ -419,7 +465,6 @@ class BytecodeInterpreter(Interpreter):
                                     trec is JSObject
                                     or trec is NativeFunction
                                     or trec is CompiledFunction
-                                    or trec is JSFunction
                                 )
                                 and arg in receiver.properties
                             ):
@@ -436,14 +481,14 @@ class BytecodeInterpreter(Interpreter):
                                 call_args = []
                             fn = pop()
                             tfn = type(fn)
-                            if tfn is CompiledFunction:
+                            if tfn is CompiledFunction and profile is None:
                                 self.steps = steps
                                 result = self._call_with_code(
                                     fn.code, fn, self.global_this, call_args
                                 )
                                 steps = self.steps
                                 push(result)
-                            elif tfn is NativeFunction:
+                            elif tfn is NativeFunction and profile is None:
                                 self.steps = steps
                                 result = fn.fn(self, self.global_this, call_args)
                                 steps = self.steps
@@ -454,9 +499,7 @@ class BytecodeInterpreter(Interpreter):
                                         "value is not a function", "TypeError"
                                     )
                                 self.steps = steps
-                                result = self._call_inner(
-                                    fn, self.global_this, call_args
-                                )
+                                result = self._call(fn, self.global_this, call_args)
                                 steps = self.steps
                                 push(result)
                         elif op == 14:  # SET_COMPL
@@ -536,7 +579,16 @@ class BytecodeInterpreter(Interpreter):
                             fn = pop()
                             receiver = pop()
                             tfn = type(fn)
-                            if tfn is FunctionType:
+                            if profile is not None:
+                                if tfn is not FunctionType and not is_callable(fn):
+                                    raise JSRuntimeError(
+                                        f"{name} is not a function", "TypeError"
+                                    )
+                                self.steps = steps
+                                result = self._call(fn, receiver, call_args, name)
+                                steps = self.steps
+                                push(result)
+                            elif tfn is FunctionType:
                                 push(fn(self, receiver, call_args))
                             elif tfn is NativeFunction:
                                 self.steps = steps

@@ -9,12 +9,11 @@ Three pieces, all deterministic and dependency-free:
   lands in the ``"other"`` bucket).  Phases are the paper's Table X/XI
   cost centres: ``parse``, ``decompress``, ``xref-resolve``, ``jsast``,
   ``instrument``, ``js-exec``, ``monitor``, ``verdict``.
-* :class:`JSProfile` — low-overhead hotspot accounting inside the
-  ``repro.js`` eval loop: self-time and hit counts per AST node type,
+* :class:`JSProfile` — hotspot accounting inside the ``repro.js``
+  bytecode VM: sampled self-time and hit counts per AST node type,
   calls/self-time per function call-site, and flamegraph-ready
   collapsed-stack lines (``repro profile FILE --collapsed out.txt``).
-  The interpreter checks one attribute per dispatch when profiling is
-  off — the disabled path allocates nothing.
+  Unprofiled, the VM's dispatch loop does no profiling work at all.
 * :class:`SlowScanBuffer` — a ring buffer retaining full detail (span
   trees, phase breakdowns) only for scans slower than a fixed threshold
   or the rolling p99 (``GET /debug/slow`` on the service).
@@ -55,96 +54,124 @@ PHASES: Tuple[str, ...] = (
 )
 
 
-class JSProfile:
-    """Hotspot accounting for the tree-walking JS interpreter.
+class _CallNode:
+    """One call path: a callee under its caller, with its totals."""
 
-    Self-time bookkeeping uses a child-time accumulator stack: each
-    dispatch pushes ``0.0``, children add their *inclusive* time to the
-    top, and on exit ``self = inclusive - children``.  Call-sites get
-    the same treatment on a separate stack keyed by callee name, which
-    doubles as the collapsed-stack (flamegraph) source.
+    __slots__ = ("name", "parent", "children", "calls", "seconds", "self_seconds")
+
+    def __init__(self, name: str, parent: Optional["_CallNode"]) -> None:
+        self.name = name
+        self.parent = parent
+        self.children: Dict[str, "_CallNode"] = {}
+        self.calls = 0
+        #: Inclusive seconds (recursion double-counts, as in any profiler).
+        self.seconds = 0.0
+        self.self_seconds = 0.0
+
+    def child(self, name: str) -> "_CallNode":
+        node = self.children.get(name)
+        if node is None:
+            node = self.children[name] = _CallNode(name, self)
+        return node
+
+    def walk(self, path: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], "_CallNode"]]:
+        """Every node below this one, with its path from the root."""
+        for node in self.children.values():
+            below = path + (node.name,)
+            yield below, node
+            yield from node.walk(below)
+
+    def merge(self, other: "_CallNode") -> None:
+        for name, theirs in other.children.items():
+            mine = self.child(name)
+            mine.calls += theirs.calls
+            mine.seconds += theirs.seconds
+            mine.self_seconds += theirs.self_seconds
+            mine.merge(theirs)
+
+
+class JSProfile:
+    """Hotspot accounting for the bytecode VM.
+
+    **Node hotspots are sampled.**  About every
+    :data:`repro.js.vm.SAMPLE_STEPS` steps the VM calls :meth:`sample`
+    with the AST node kind whose step it is executing.  The wall time
+    until the next sample (or until :meth:`pause`, when a script
+    returns) is billed to that kind as its self time, so the node self
+    times of a run add up to its sampled JS time.  ``hits`` counts
+    samples; samples are placed by step count, so a document profiled
+    twice gets identical hits.
+
+    **Call sites are timed.**  Each call is bracketed by
+    :meth:`enter_call`/:meth:`exit_call`, which walk a call tree keyed
+    by callee name.  A child-time accumulator stack gives every call
+    ``self = inclusive - children``; the tree's paths are the
+    collapsed-stack (flamegraph) source.
     """
 
     __slots__ = (
         "clock",
-        "call_seconds",
-        "call_self_seconds",
-        "call_counts",
-        "stack_self_seconds",
         "node_stats",
-        "node_frames",
+        "_billing",
+        "_billing_since",
+        "_calls",
+        "_call_node",
         "_call_frames",
-        "_call_stack",
     )
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        #: kind -> [self_seconds, hits].  One mutable record per node
-        #: type keeps the hot dispatch path to a single dict lookup.
+        #: kind -> [self_seconds, hits].
         self.node_stats: Dict[str, List[Any]] = {}
-        #: Inclusive seconds per callee name (recursion double-counts).
-        self.call_seconds: Dict[str, float] = {}
-        self.call_self_seconds: Dict[str, float] = {}
-        self.call_counts: Dict[str, int] = {}
-        #: Self seconds per call stack (``("(root)", "a", "b")``).
-        self.stack_self_seconds: Dict[Tuple[str, ...], float] = {}
-        self.node_frames: List[float] = [0.0]
+        #: The node_stats record the running interval is billed to.
+        self._billing: Optional[List[Any]] = None
+        self._billing_since = 0.0
+        self._calls = _CallNode("(root)", None)
+        self._call_node = self._calls
         self._call_frames: List[float] = [0.0]
-        self._call_stack: List[str] = ["(root)"]
 
-    # -- node dispatch (the eval-loop hot path when enabled) -------------
+    # -- node samples (the VM's sampling interrupt) ----------------------
 
-    def dispatch(
-        self,
-        kind: str,
-        method: Callable[..., Any],
-        node: Any,
-        env: Any,
-        this: Any,
-    ) -> Any:
-        """Run one ``_exec_*``/``_eval_*`` method under the profiler."""
-        frames = self.node_frames
-        frames.append(0.0)
-        clock = self.clock
-        start = clock()
-        try:
-            return method(node, env, this)
-        finally:
-            elapsed = clock() - start
-            child = frames.pop()
-            frames[-1] += elapsed
-            self_time = elapsed - child
-            stat = self.node_stats.get(kind)
-            if stat is None:
-                stat = self.node_stats[kind] = [0.0, 0]
-            if self_time > 0.0:
-                stat[0] += self_time
-            stat[1] += 1
+    def sample(self, kind: str) -> None:
+        """Bill the elapsed interval, then start billing ``kind``."""
+        now = self.clock()
+        billing = self._billing
+        if billing is not None:
+            billing[0] += now - self._billing_since
+        stat = self.node_stats.get(kind)
+        if stat is None:
+            stat = self.node_stats[kind] = [0.0, 0]
+        stat[1] += 1
+        self._billing = stat
+        self._billing_since = now
+
+    def pause(self) -> None:
+        """Bill the elapsed interval and stop billing until the next sample."""
+        billing = self._billing
+        if billing is not None:
+            billing[0] += self.clock() - self._billing_since
+            self._billing = None
 
     # -- call-sites -------------------------------------------------------
 
     def enter_call(self, name: str) -> float:
-        self._call_stack.append(name)
+        """Start timing a call to ``name``; returns its start time."""
+        self._call_node = self._call_node.child(name)
         self._call_frames.append(0.0)
         return self.clock()
 
-    def exit_call(self, name: str, start: float) -> None:
+    def exit_call(self, start: float) -> None:
+        """Finish the innermost call started at ``start``."""
         elapsed = self.clock() - start
-        child = self._call_frames.pop()
-        self._call_frames[-1] += elapsed
-        self_time = elapsed - child
-        if self_time < 0.0:
-            self_time = 0.0
-        stack = tuple(self._call_stack)
-        self._call_stack.pop()
-        self.call_counts[name] = self.call_counts.get(name, 0) + 1
-        self.call_seconds[name] = self.call_seconds.get(name, 0.0) + elapsed
-        self.call_self_seconds[name] = (
-            self.call_self_seconds.get(name, 0.0) + self_time
-        )
-        self.stack_self_seconds[stack] = (
-            self.stack_self_seconds.get(stack, 0.0) + self_time
-        )
+        frames = self._call_frames
+        child = frames.pop()
+        frames[-1] += elapsed
+        node = self._call_node
+        node.calls += 1
+        node.seconds += elapsed
+        if elapsed > child:
+            node.self_seconds += elapsed - child
+        self._call_node = node.parent  # type: ignore[assignment]
 
     # -- reading ----------------------------------------------------------
 
@@ -155,7 +182,7 @@ class JSProfile:
 
     @property
     def node_hits(self) -> Dict[str, int]:
-        """Dispatch counts per AST node type."""
+        """Sample counts per AST node type."""
         return {kind: stat[1] for kind, stat in self.node_stats.items()}
 
     @property
@@ -177,17 +204,20 @@ class JSProfile:
         ]
 
     def call_sites(self, top: int = 10) -> List[Dict[str, Any]]:
-        """Function call-sites ranked by inclusive time."""
-        ranked = sorted(self.call_seconds.items(), key=lambda kv: -kv[1])
-        return [
-            {
-                "function": name,
-                "seconds": seconds,
-                "self_seconds": self.call_self_seconds.get(name, 0.0),
-                "calls": self.call_counts.get(name, 0),
-            }
-            for name, seconds in ranked[: max(0, top)]
-        ]
+        """Functions ranked by inclusive time, summed over call paths."""
+        rows: Dict[str, Dict[str, Any]] = {}
+        for _path, node in self._calls.walk():
+            row = rows.get(node.name)
+            if row is None:
+                row = rows[node.name] = {
+                    "function": node.name, "seconds": 0.0,
+                    "self_seconds": 0.0, "calls": 0,
+                }
+            row["seconds"] += node.seconds
+            row["self_seconds"] += node.self_seconds
+            row["calls"] += node.calls
+        ranked = sorted(rows.values(), key=lambda row: -row["seconds"])
+        return ranked[: max(0, top)]
 
     def collapsed_lines(self) -> List[str]:
         """Flamegraph-folded lines: ``(root);a;b <microseconds>``.
@@ -195,11 +225,10 @@ class JSProfile:
         Feed straight into ``flamegraph.pl`` / speedscope ("collapsed
         stacks" import).  Values are integer microseconds of self-time.
         """
-        lines = []
-        for stack, seconds in sorted(self.stack_self_seconds.items()):
-            micros = int(round(seconds * 1e6))
-            lines.append(";".join(stack) + f" {micros}")
-        return lines
+        return sorted(
+            ";".join(("(root)",) + path) + f" {int(round(node.self_seconds * 1e6))}"
+            for path, node in self._calls.walk()
+        )
 
     def merge(self, other: "JSProfile") -> None:
         """Fold another profile's aggregates into this one."""
@@ -210,18 +239,7 @@ class JSProfile:
             else:
                 mine[0] += stat[0]
                 mine[1] += stat[1]
-        for key, value in other.call_seconds.items():
-            self.call_seconds[key] = self.call_seconds.get(key, 0.0) + value
-        for key, value in other.call_self_seconds.items():
-            self.call_self_seconds[key] = (
-                self.call_self_seconds.get(key, 0.0) + value
-            )
-        for key, count in other.call_counts.items():
-            self.call_counts[key] = self.call_counts.get(key, 0) + count
-        for stack, value in other.stack_self_seconds.items():
-            self.stack_self_seconds[stack] = (
-                self.stack_self_seconds.get(stack, 0.0) + value
-            )
+        self._calls.merge(other._calls)
 
     def to_dict(self, top: int = 10) -> Dict[str, Any]:
         return {

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, List, Protocol
 
 from repro.js.errors import JSThrow
-from repro.js.interpreter import Interpreter
+from repro.js.runtime import Runtime
 from repro.js.values import JSArray, JSObject, NativeFunction, UNDEFINED, to_number, to_string
 
 
@@ -71,7 +71,7 @@ def _option(value: Any, key: str, default: Any = UNDEFINED) -> Any:
     return default
 
 
-def build_acrobat_environment(interp: Interpreter, binding: DocBinding) -> JSObject:
+def build_acrobat_environment(interp: Runtime, binding: DocBinding) -> JSObject:
     """Install the Acrobat globals; returns the document object (``this``)."""
     doc = _build_doc_object(interp, binding)
     interp.define_global("app", _build_app_object(interp, binding))
@@ -89,7 +89,7 @@ def build_acrobat_environment(interp: Interpreter, binding: DocBinding) -> JSObj
 # app
 
 
-def _build_app_object(interp: Interpreter, binding: DocBinding) -> JSObject:
+def _build_app_object(interp: Runtime, binding: DocBinding) -> JSObject:
     app = JSObject(class_name="app")
     app.set("viewerVersion", float(binding.reader_version.split(".")[0]))
     app.set("viewerType", "Exchange-Pro")
@@ -105,12 +105,12 @@ def _build_app_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     )
     app.set("beep", NativeFunction("beep", lambda i, t, a: UNDEFINED))
 
-    def _set_time_out(i: Interpreter, t: Any, a: List[Any]) -> float:
+    def _set_time_out(i: Runtime, t: Any, a: List[Any]) -> float:
         code = to_string(_arg(a, 0, ""))
         delay = to_number(_arg(a, 1, 0.0))
         return float(binding.set_timeout(code, delay, interval=False))
 
-    def _set_interval(i: Interpreter, t: Any, a: List[Any]) -> float:
+    def _set_interval(i: Runtime, t: Any, a: List[Any]) -> float:
         code = to_string(_arg(a, 0, ""))
         delay = to_number(_arg(a, 1, 0.0))
         return float(binding.set_timeout(code, delay, interval=True))
@@ -187,10 +187,10 @@ def _printf_format(fmt: str, args: List[Any]) -> str:
     return "".join(out)
 
 
-def _build_util_object(interp: Interpreter, binding: DocBinding) -> JSObject:
+def _build_util_object(interp: Runtime, binding: DocBinding) -> JSObject:
     util = JSObject(class_name="util")
 
-    def _printf(i: Interpreter, t: Any, a: List[Any]) -> str:
+    def _printf(i: Runtime, t: Any, a: List[Any]) -> str:
         fmt = to_string(_arg(a, 0, ""))
         binding.vulnerable_api_called("util.printf", [fmt] + list(a[1:]))
         return i._record_string(_printf_format(fmt, list(a[1:])))
@@ -209,15 +209,15 @@ def _build_util_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     return util
 
 
-def _build_collab_object(interp: Interpreter, binding: DocBinding) -> JSObject:
+def _build_collab_object(interp: Runtime, binding: DocBinding) -> JSObject:
     collab = JSObject(class_name="Collab")
 
-    def _collect_email_info(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _collect_email_info(i: Runtime, t: Any, a: List[Any]) -> Any:
         msg = _option(_arg(a, 0), "msg", _arg(a, 0, ""))
         binding.vulnerable_api_called("Collab.collectEmailInfo", [to_string(msg)])
         return UNDEFINED
 
-    def _get_icon(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _get_icon(i: Runtime, t: Any, a: List[Any]) -> Any:
         binding.vulnerable_api_called("Collab.getIcon", [to_string(_arg(a, 0, ""))])
         return UNDEFINED
 
@@ -226,16 +226,16 @@ def _build_collab_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     return collab
 
 
-def _build_soap_object(interp: Interpreter, binding: DocBinding) -> JSObject:
+def _build_soap_object(interp: Runtime, binding: DocBinding) -> JSObject:
     soap = JSObject(class_name="SOAP")
 
-    def _request(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _request(i: Runtime, t: Any, a: List[Any]) -> Any:
         params = _arg(a, 0)
         url = to_string(_option(params, "cURL", ""))
         request = _option(params, "oRequest", UNDEFINED)
         return binding.soap_request(url, request)
 
-    def _connect(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _connect(i: Runtime, t: Any, a: List[Any]) -> Any:
         url = to_string(_arg(a, 0, ""))
         return binding.soap_request(url, UNDEFINED)
 
@@ -244,10 +244,10 @@ def _build_soap_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     return soap
 
 
-def _build_net_object(interp: Interpreter, binding: DocBinding) -> JSObject:
+def _build_net_object(interp: Runtime, binding: DocBinding) -> JSObject:
     net = JSObject(class_name="Net")
 
-    def _http_request(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _http_request(i: Runtime, t: Any, a: List[Any]) -> Any:
         # "The Net.HTTP method can be invoked only outside of a document"
         # (§III-C, citing [20]) — inside a document it raises.
         raise JSThrow("NotAllowedError: Security settings prevent access to Net.HTTP")
@@ -262,7 +262,7 @@ def _build_net_object(interp: Interpreter, binding: DocBinding) -> JSObject:
 # the document object (``this``)
 
 
-def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
+def _build_doc_object(interp: Runtime, binding: DocBinding) -> JSObject:
     doc = JSObject(class_name="Doc")
     info = JSObject(class_name="Info")
     for key, value in binding.doc_info().items():
@@ -272,19 +272,19 @@ def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     for key, value in binding.doc_metadata().items():
         doc.set(key, value)
 
-    def _add_script(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _add_script(i: Runtime, t: Any, a: List[Any]) -> Any:
         name = to_string(_arg(a, 0, ""))
         code = to_string(_arg(a, 1, ""))
         binding.add_runtime_script("addScript", name, code)
         return UNDEFINED
 
-    def _set_action(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _set_action(i: Runtime, t: Any, a: List[Any]) -> Any:
         trigger = to_string(_arg(a, 0, "WillClose"))
         code = to_string(_arg(a, 1, ""))
         binding.add_runtime_script(f"setAction:{trigger}", trigger, code)
         return UNDEFINED
 
-    def _set_page_action(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _set_page_action(i: Runtime, t: Any, a: List[Any]) -> Any:
         page = int(to_number(_arg(a, 0, 0.0)))
         trigger = to_string(_arg(a, 1, "Open"))
         code = to_string(_arg(a, 2, ""))
@@ -295,14 +295,14 @@ def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     doc.set("setAction", NativeFunction("setAction", _set_action))
     doc.set("setPageAction", NativeFunction("setPageAction", _set_page_action))
 
-    def _get_annots(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _get_annots(i: Runtime, t: Any, a: List[Any]) -> Any:
         binding.vulnerable_api_called("getAnnots", [to_string(_arg(a, 0, ""))])
         return JSArray([])
 
     doc.set("getAnnots", NativeFunction("getAnnots", _get_annots))
     doc.set("syncAnnotScan", NativeFunction("syncAnnotScan", lambda i, t, a: UNDEFINED))
 
-    def _print_seps(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _print_seps(i: Runtime, t: Any, a: List[Any]) -> Any:
         binding.vulnerable_api_called("printSeps", list(a))
         return UNDEFINED
 
@@ -310,14 +310,14 @@ def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
 
     media = JSObject(class_name="Doc.media")
 
-    def _new_player(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _new_player(i: Runtime, t: Any, a: List[Any]) -> Any:
         binding.vulnerable_api_called("media.newPlayer", [to_string(_arg(a, 0, ""))])
         return None  # the CVE-2009-4324 idiom: newPlayer(null) then use-after-free
 
     media.set("newPlayer", NativeFunction("newPlayer", _new_player))
     doc.set("media", media)
 
-    def _export_data_object(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _export_data_object(i: Runtime, t: Any, a: List[Any]) -> Any:
         params = _arg(a, 0)
         name = to_string(_option(params, "cName", _arg(a, 0, "attachment")))
         launch = int(to_number(_option(params, "nLaunch", 0.0)))
@@ -336,7 +336,7 @@ def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
 
     bookmark_root = JSObject(class_name="Bookmark")
 
-    def _bookmark_set_action(i: Interpreter, t: Any, a: List[Any]) -> Any:
+    def _bookmark_set_action(i: Runtime, t: Any, a: List[Any]) -> Any:
         code = to_string(_arg(a, 0, ""))
         binding.add_runtime_script("bookmark.setAction", "bookmark", code)
         return UNDEFINED

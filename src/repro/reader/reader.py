@@ -17,10 +17,10 @@ from urllib.parse import urlparse
 
 from repro import obs as obs_mod
 from repro.obs import profile as profile_mod
-from repro.js import make_interpreter
 from repro.js.errors import JSError, ReaderCrash, ResourceLimitExceeded
-from repro.js.interpreter import Host, Interpreter
+from repro.js.runtime import Host, Runtime
 from repro.js.values import JSArray, JSObject, UNDEFINED
+from repro.js.vm import BytecodeInterpreter
 from repro.pdf.document import PDFDocument
 from repro.pdf.objects import PDFStream, PDFString
 from repro.pdf.parser import PDFParseError
@@ -123,7 +123,7 @@ class DocumentHandle:
         self.script_errors: List[str] = []
         self.runtime_scripts: List[Tuple[str, str, str]] = []  # (kind, name, code)
         self.soap_messages: List[Tuple[str, Any]] = []
-        self.interpreter: Optional[Interpreter] = None
+        self.interpreter: Optional[Runtime] = None
         self.doc_object: Optional[JSObject] = None
         self.executed_scripts = 0
 
@@ -217,7 +217,6 @@ class Reader:
         detector_channel: Optional[LoopbackChannel] = None,
         max_js_steps: int = 20_000_000,
         obs: Optional[obs_mod.Observability] = None,
-        js_engine: Optional[str] = None,
     ) -> None:
         self.system = system if system is not None else System()
         self.version = version
@@ -226,9 +225,6 @@ class Reader:
         self.trampoline = trampoline
         self.detector_channel = detector_channel
         self.max_js_steps = max_js_steps
-        #: "ast" or "bytecode" (None = env var / package default); every
-        #: document opened by this reader gets an engine of this kind.
-        self.js_engine = js_engine
         self.obs = obs if obs is not None else obs_mod.get_default()
         self.gateway = SyscallGateway(self.system)
         self._process: Optional[Process] = None
@@ -305,9 +301,7 @@ class Reader:
         self._maybe_memory_optimize(handle)
 
         host = _ReaderJSHost(self, handle)
-        interpreter = make_interpreter(
-            self.js_engine, host=host, max_steps=self.max_js_steps
-        )
+        interpreter = BytecodeInterpreter(host=host, max_steps=self.max_js_steps)
         active_profile = profile_mod.current()
         if active_profile is not None:
             interpreter.set_profile(active_profile.js)

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import limits as limits_mod
 from repro import obs as obs_mod
 from repro.batch.cache import VerdictCache
-from repro.batch.scanner import BatchScanner
+from repro.batch.scanner import DEFAULT_BACKEND, BatchScanner
 from repro.core.pipeline import PipelineSettings
 from repro.limits import ScanLimits
 from repro.obs.metrics import Metrics
@@ -81,7 +81,7 @@ class ScanService:
         self,
         settings: Optional[PipelineSettings] = None,
         jobs: int = 4,
-        backend: str = "thread",
+        backend: str = DEFAULT_BACKEND,
         timeout: Optional[float] = None,
         admission: Optional[AdmissionConfig] = None,
         cache: Union[VerdictCache, None, bool] = None,

@@ -12,8 +12,8 @@ from repro.core.monitor_code import (
     js_string_literal,
 )
 from repro.js import evaluate
-from repro.js.interpreter import Interpreter
 from repro.js.values import JSObject, NativeFunction, UNDEFINED
+from repro.js.vm import BytecodeInterpreter
 
 
 class TestKeyStore:
@@ -88,7 +88,7 @@ class TestScriptEncryption:
 def run_wrapped(generated: GeneratedMonitorCode, soap_log=None):
     """Execute monitoring code in a minimal Acrobat-like environment."""
     log = soap_log if soap_log is not None else []
-    interp = Interpreter()
+    interp = BytecodeInterpreter()
 
     def soap_request(i, t, args):
         params = args[0]
@@ -181,7 +181,7 @@ class TestMonitorCodeGeneration:
         captured = {}
 
         log = []
-        interp = Interpreter()
+        interp = BytecodeInterpreter()
 
         def soap_request(i, t, args):
             params = args[0]

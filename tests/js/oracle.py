@@ -1,157 +1,61 @@
-"""Tree-walking evaluator for the JavaScript subset.
+"""The reference tree-walker: the differential oracle for the bytecode VM.
 
-Design notes relevant to the reproduction:
+:class:`TreeWalker` evaluates the parsed AST directly, node by node, on
+the same shared runtime (:class:`repro.js.runtime.Runtime`: environments,
+host wiring, builtins, ``_binary_op``, ``get_property``, ``_construct``,
+``_call``) that the production :class:`repro.js.vm.BytecodeInterpreter`
+uses.  It defines the engine's reference semantics, including the
+step-charging rule: one step per ``exec_statement`` / ``eval_expression``
+entry, pre-order.  The compiler aggregates exactly these ticks into
+per-instruction charges, so both engines must agree bit-for-bit on
+values, errors, consumed steps and host telemetry.
 
-* **Allocation accounting.** Every string the program materialises is
-  charged to a host callback at two bytes per character (UTF-16, the
-  unit real heap-spray arithmetic uses).  The simulated reader wires
-  this into the process memory counters, which is how the paper's
-  "suspicious memory consumption" feature (F8) observes heap sprays.
-* **Spray pool.** Large strings are additionally handed to the host so
-  the reader's control-flow-hijack model can scan the "heap" for a NOP
-  sled + payload, exactly mirroring the paper's infection model.
-* **Step budget.** A step counter bounds runaway scripts (the engine is
-  used inside tests and benchmarks; an attacker-controlled infinite
-  loop must not hang the harness).
-* **`eval`.** Executes in the caller's scope — the instrumentation's
-  prologue depends on real `eval` semantics.
+Nothing under ``src/`` runs this class.  The differential suite
+(``pytest -m diff``), the pinned step counts and the Table X engine
+benchmark compare the VM against it; :func:`reader_runs_oracle` swaps it
+into the simulated reader for whole-pipeline comparisons.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Optional
+import contextlib
+from typing import Any, Iterator, List, Optional
 
+import pytest
+
+import repro.reader.reader as reader_mod
 from repro.js import nodes as ast
 from repro.js.errors import (
     BreakSignal,
     ContinueSignal,
     JSRuntimeError,
     JSThrow,
+    ReaderCrash,
     ResourceLimitExceeded,
     ReturnSignal,
 )
 from repro.js.parser import parse
+from repro.js.runtime import Environment, Host, Runtime
 from repro.js.values import (
     JSArray,
     JSFunction,
     JSObject,
-    NativeFunction,
     UNDEFINED,
     is_callable,
-    loose_equals,
     strict_equals,
     to_int32,
     to_number,
     to_string,
-    to_uint32,
     truthy,
     type_of,
 )
-
-#: Strings at or above this length are reported to the host spray pool.
-SPRAY_POOL_THRESHOLD = 4096
-
-#: Bytes per JS string character (UTF-16), used for heap accounting.
-BYTES_PER_CHAR = 2
+from repro.js.vm import BytecodeInterpreter
 
 
-class Environment:
-    """A lexical scope: bindings plus a parent pointer."""
+class TreeWalker(Runtime):
+    """Evaluates parsed programs by walking the AST."""
 
-    __slots__ = ("bindings", "parent")
-
-    def __init__(self, parent: Optional["Environment"] = None) -> None:
-        self.bindings: Dict[str, Any] = {}
-        self.parent = parent
-
-    def lookup(self, name: str) -> Any:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        raise JSRuntimeError(f"{name} is not defined", kind="ReferenceError")
-
-    def has(self, name: str) -> bool:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.bindings:
-                return True
-            env = env.parent
-        return False
-
-    def assign(self, name: str, value: Any) -> None:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.bindings:
-                env.bindings[name] = value
-                return
-            env = env.parent
-        # Implicit global, as in sloppy-mode JS.
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        root.bindings[name] = value
-
-    def declare(self, name: str, value: Any = UNDEFINED) -> None:
-        if name not in self.bindings or value is not UNDEFINED:
-            self.bindings[name] = value
-
-
-class Host:
-    """Callbacks from the engine to its embedder (the simulated reader).
-
-    The default implementation accumulates counters locally so the
-    engine works standalone.
-    """
-
-    def __init__(self) -> None:
-        self.allocated_bytes = 0
-        self.spray_pool: List[str] = []
-
-    def on_string_alloc(self, length: int) -> None:
-        self.allocated_bytes += length * BYTES_PER_CHAR
-
-    def on_large_string(self, value: str) -> None:
-        self.spray_pool.append(value)
-
-    def on_step(self, count: int) -> None:  # pragma: no cover - default no-op
-        del count
-
-    def now_seconds(self) -> float:
-        """Wall-clock seconds for Date(); embedders wire virtual time."""
-        return 0.0
-
-
-class Interpreter:
-    """Evaluates parsed programs against a global environment."""
-
-    def __init__(
-        self,
-        host: Optional[Host] = None,
-        max_steps: int = 20_000_000,
-        install_builtins: bool = True,
-    ) -> None:
-        self.host = host if host is not None else Host()
-        self.max_steps = max_steps
-        self.steps = 0
-        self.global_env = Environment()
-        self.global_this = JSObject(class_name="global")
-        #: Optional :class:`repro.obs.profile.JSProfile` hotspot hook.
-        #: The eval loop checks this one attribute per dispatch — the
-        #: disabled (None) path performs no extra allocation or call.
-        self._profile: Any = None
-        if install_builtins:
-            from repro.js.builtins import install_globals
-
-            install_globals(self)
-
-    # -- public API ------------------------------------------------------
-
-    def set_profile(self, profile: Any) -> None:
-        """Attach (or with None, detach) a JSProfile hotspot recorder."""
-        self._profile = profile
+    # -- public API (same shape as the VM) --------------------------------
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
         """Parse and execute ``source``; returns the last statement value."""
@@ -164,31 +68,16 @@ class Interpreter:
             result = self.exec_statement(statement, scope, this_value)
         return result
 
-    def call_function(self, fn: Any, this: Any, args: List[Any]) -> Any:
-        """Invoke a JS or native function from host code."""
-        return self._call(fn, this, args)
-
-    def define_global(self, name: str, value: Any) -> None:
-        self.global_env.declare(name, value)
-
-    def native(self, name: str, fn: Callable[["Interpreter", Any, List[Any]], Any]) -> NativeFunction:
-        return NativeFunction(name, fn)
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise ResourceLimitExceeded(
-                "js-steps", self.max_steps, "script exceeded its step budget"
-            )
-
-    def _record_string(self, value: str) -> str:
-        if len(value) >= 2:
-            self.host.on_string_alloc(len(value))
-        if len(value) >= SPRAY_POOL_THRESHOLD:
-            self.host.on_large_string(value)
-        return value
+    def eval_in_scope(self, code: Any, env: Environment, this: Any) -> Any:
+        """Direct ``eval`` semantics."""
+        if not isinstance(code, str):
+            return code
+        program = parse(code)
+        self._hoist(program.body, env)
+        result: Any = UNDEFINED
+        for statement in program.body:
+            result = self.exec_statement(statement, env, this)
+        return result
 
     # -- hoisting -----------------------------------------------------------
 
@@ -237,28 +126,7 @@ class Interpreter:
         method = getattr(self, f"_exec_{kind}", None)
         if method is None:
             raise JSRuntimeError(f"cannot execute {kind}")
-        profile = self._profile
-        if profile is None:
-            return method(node, env, this)
-        # Inlined JSProfile.dispatch — the eval loop is hot enough that
-        # the extra call frame alone is measurable overhead.
-        frames = profile.node_frames
-        frames.append(0.0)
-        clock = profile.clock
-        start = clock()
-        try:
-            return method(node, env, this)
-        finally:
-            elapsed = clock() - start
-            child = frames.pop()
-            frames[-1] += elapsed
-            self_time = elapsed - child
-            stat = profile.node_stats.get(kind)
-            if stat is None:
-                stat = profile.node_stats[kind] = [0.0, 0]
-            if self_time > 0.0:
-                stat[0] += self_time
-            stat[1] += 1
+        return method(node, env, this)
 
     def _exec_Program(self, node: ast.Program, env: Environment, this: Any) -> Any:
         result: Any = UNDEFINED
@@ -396,8 +264,6 @@ class Interpreter:
         raise JSThrow(self.eval_expression(node.value, env, this))
 
     def _exec_TryStatement(self, node: ast.TryStatement, env: Environment, this: Any) -> Any:
-        from repro.js.errors import ReaderCrash
-
         result: Any = UNDEFINED
         fatal = False
         try:
@@ -459,27 +325,7 @@ class Interpreter:
         method = getattr(self, f"_eval_{kind}", None)
         if method is None:
             raise JSRuntimeError(f"cannot evaluate {kind}")
-        profile = self._profile
-        if profile is None:
-            return method(node, env, this)
-        # Inlined JSProfile.dispatch (see exec_statement).
-        frames = profile.node_frames
-        frames.append(0.0)
-        clock = profile.clock
-        start = clock()
-        try:
-            return method(node, env, this)
-        finally:
-            elapsed = clock() - start
-            child = frames.pop()
-            frames[-1] += elapsed
-            self_time = elapsed - child
-            stat = profile.node_stats.get(kind)
-            if stat is None:
-                stat = profile.node_stats[kind] = [0.0, 0]
-            if self_time > 0.0:
-                stat[0] += self_time
-            stat[1] += 1
+        return method(node, env, this)
 
     def _eval_NumberLiteral(self, node: ast.NumberLiteral, env: Environment, this: Any) -> Any:
         return node.value
@@ -588,85 +434,6 @@ class Interpreter:
         right = self.eval_expression(node.right, env, this)
         return self._binary_op(node.op, left, right)
 
-    def _binary_op(self, op: str, left: Any, right: Any) -> Any:
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str) or isinstance(left, JSArray) or isinstance(right, JSArray):
-                result = to_string(left) + to_string(right)
-                return self._record_string(result)
-            return to_number(left) + to_number(right)
-        if op == "-":
-            return to_number(left) - to_number(right)
-        if op == "*":
-            return to_number(left) * to_number(right)
-        if op == "/":
-            denominator = to_number(right)
-            numerator = to_number(left)
-            if denominator == 0:
-                if math.isnan(numerator) or numerator == 0:
-                    return math.nan
-                return math.inf if (numerator > 0) == (math.copysign(1, denominator) > 0) else -math.inf
-            return numerator / denominator
-        if op == "%":
-            denominator = to_number(right)
-            numerator = to_number(left)
-            if denominator == 0 or math.isnan(denominator) or math.isnan(numerator) or math.isinf(numerator):
-                return math.nan
-            return math.fmod(numerator, denominator)
-        if op == "==":
-            return loose_equals(left, right)
-        if op == "!=":
-            return not loose_equals(left, right)
-        if op == "===":
-            return strict_equals(left, right)
-        if op == "!==":
-            return not strict_equals(left, right)
-        if op in ("<", ">", "<=", ">="):
-            if isinstance(left, str) and isinstance(right, str):
-                if op == "<":
-                    return left < right
-                if op == ">":
-                    return left > right
-                if op == "<=":
-                    return left <= right
-                return left >= right
-            number_left, number_right = to_number(left), to_number(right)
-            if math.isnan(number_left) or math.isnan(number_right):
-                return False
-            if op == "<":
-                return number_left < number_right
-            if op == ">":
-                return number_left > number_right
-            if op == "<=":
-                return number_left <= number_right
-            return number_left >= number_right
-        if op == "&":
-            return float(to_int32(left) & to_int32(right))
-        if op == "|":
-            return float(to_int32(left) | to_int32(right))
-        if op == "^":
-            return float(to_int32(left) ^ to_int32(right))
-        if op == "<<":
-            return float(to_int32(to_int32(left) << (to_uint32(right) & 31)))
-        if op == ">>":
-            return float(to_int32(left) >> (to_uint32(right) & 31))
-        if op == ">>>":
-            return float(to_uint32(left) >> (to_uint32(right) & 31))
-        if op == "instanceof":
-            if not is_callable(right):
-                raise JSRuntimeError("right side of instanceof is not callable", "TypeError")
-            proto = right.get("prototype") if isinstance(right, JSObject) else UNDEFINED
-            probe = left.prototype if isinstance(left, JSObject) else None
-            while probe is not None:
-                if probe is proto:
-                    return True
-                probe = probe.prototype
-            return False
-        if op == "in":
-            if isinstance(right, JSObject):
-                return right.has(to_string(left))
-            raise JSRuntimeError("'in' needs an object", "TypeError")
-        raise JSRuntimeError(f"unknown binary operator {op}")
-
     def _eval_AssignmentExpression(
         self, node: ast.AssignmentExpression, env: Environment, this: Any
     ) -> Any:
@@ -700,17 +467,6 @@ class Interpreter:
         name = self._member_name(target, env, this)
         self._set_member_value(obj, name, value)
 
-    def _set_member_value(self, obj: Any, name: str, value: Any) -> None:
-        """Property-write kernel shared with the bytecode VM."""
-        if isinstance(obj, JSObject):
-            obj.set(name, value)
-            return
-        if obj is UNDEFINED or obj is None:
-            raise JSRuntimeError(
-                f"cannot set property {name!r} of {to_string(obj)}", "TypeError"
-            )
-        # Primitive property writes are silently dropped (as in JS).
-
     def _member_name(self, node: ast.MemberExpression, env: Environment, this: Any) -> str:
         if node.computed:
             return to_string(self.eval_expression(node.prop, env, this))
@@ -724,31 +480,6 @@ class Interpreter:
         name = self._member_name(node, env, this)
         return self.get_property(obj, name)
 
-    def get_property(self, obj: Any, name: str) -> Any:
-        from repro.js.builtins import array_method, primitive_property
-
-        if isinstance(obj, JSObject):
-            if obj.has(name) or (isinstance(obj, JSArray) and (name == "length" or name.isdigit())):
-                return obj.get(name)
-            if isinstance(obj, JSArray):
-                method = array_method(self, obj, name)
-                if method is not None:
-                    return method
-            if name == "hasOwnProperty":
-                return self.native(
-                    "hasOwnProperty",
-                    lambda i, t, a: isinstance(t, JSObject)
-                    and to_string(a[0] if a else UNDEFINED) in t.properties,
-                )
-            if name == "toString":
-                return self.native("toString", lambda i, t, a: to_string(t))
-            return UNDEFINED
-        if obj is UNDEFINED or obj is None:
-            raise JSRuntimeError(
-                f"cannot read property {name!r} of {to_string(obj)}", "TypeError"
-            )
-        return primitive_property(self, obj, name)
-
     def _eval_CallExpression(self, node: ast.CallExpression, env: Environment, this: Any) -> Any:
         if isinstance(node.callee, ast.MemberExpression):
             # Charging rule: the callee member node costs one step, the
@@ -760,7 +491,7 @@ class Interpreter:
             args = [self.eval_expression(arg, env, this) for arg in node.arguments]
             if not is_callable(fn):
                 raise JSRuntimeError(f"{name} is not a function", "TypeError")
-            return self._call(fn, receiver, args, env=env)
+            return self._call(fn, receiver, args)
         if isinstance(node.callee, ast.Identifier) and node.callee.name == "eval":
             # Direct eval: execute in the caller's scope.
             args = [self.eval_expression(arg, env, this) for arg in node.arguments]
@@ -769,62 +500,16 @@ class Interpreter:
         args = [self.eval_expression(arg, env, this) for arg in node.arguments]
         if not is_callable(fn):
             raise JSRuntimeError("value is not a function", "TypeError")
-        return self._call(fn, self.global_this, args, env=env)
-
-    def eval_in_scope(self, code: Any, env: Environment, this: Any) -> Any:
-        """Direct ``eval`` semantics."""
-        if not isinstance(code, str):
-            return code
-        program = parse(code)
-        self._hoist(program.body, env)
-        result: Any = UNDEFINED
-        for statement in program.body:
-            result = self.exec_statement(statement, env, this)
-        return result
+        return self._call(fn, self.global_this, args)
 
     def _eval_NewExpression(self, node: ast.NewExpression, env: Environment, this: Any) -> Any:
         fn = self.eval_expression(node.callee, env, this)
         args = [self.eval_expression(arg, env, this) for arg in node.arguments]
         return self._construct(fn, args)
 
-    def _construct(self, fn: Any, args: List[Any]) -> Any:
-        """Constructor-call kernel shared with the bytecode VM."""
-        if not is_callable(fn):
-            raise JSRuntimeError("constructor is not a function", "TypeError")
-        prototype = fn.get("prototype") if isinstance(fn, JSObject) else UNDEFINED
-        if not isinstance(prototype, JSObject):
-            # Every function gets a default prototype object on first
-            # construction (so `instanceof` works as in real JS).
-            prototype = JSObject()
-            if isinstance(fn, JSObject):
-                fn.set("prototype", prototype)
-        instance = JSObject(prototype=prototype)
-        result = self._call(fn, instance, args)
-        return result if isinstance(result, JSObject) else instance
-
     # -- calls -----------------------------------------------------------------
 
-    def _call(
-        self,
-        fn: Any,
-        this: Any,
-        args: List[Any],
-        env: Optional[Environment] = None,
-    ) -> Any:
-        del env  # call-site scope is irrelevant to both call kinds
-        profile = self._profile
-        if profile is not None:
-            name = getattr(fn, "name", None) or "(anonymous)"
-            start = profile.enter_call(name)
-            try:
-                return self._call_inner(fn, this, args)
-            finally:
-                profile.exit_call(name, start)
-        return self._call_inner(fn, this, args)
-
     def _call_inner(self, fn: Any, this: Any, args: List[Any]) -> Any:
-        if isinstance(fn, NativeFunction):
-            return fn.fn(self, this, args)
         if isinstance(fn, JSFunction):
             call_env = Environment(fn.closure)
             if fn.name:
@@ -839,9 +524,27 @@ class Interpreter:
             except ReturnSignal as signal:
                 return signal.value
             return UNDEFINED
-        raise JSRuntimeError("value is not callable", "TypeError")
+        return super()._call_inner(fn, this, args)
 
 
-def evaluate(source: str, **kwargs: Any) -> Any:
-    """One-shot convenience: run ``source`` in a fresh interpreter."""
-    return Interpreter(**kwargs).run(source)
+#: Engine name -> class, for tests that run the same source on both.
+ENGINES = {"ast": TreeWalker, "bytecode": BytecodeInterpreter}
+
+
+def make_engine(
+    engine: str, host: Optional[Host] = None, max_steps: int = 2_000_000
+) -> Runtime:
+    """A fresh ``"ast"`` (oracle) or ``"bytecode"`` (production) engine."""
+    return ENGINES[engine](host=host, max_steps=max_steps)
+
+
+@contextlib.contextmanager
+def reader_runs_oracle() -> Iterator[None]:
+    """Make every reader session opened in the block run the oracle.
+
+    The reader constructs :class:`BytecodeInterpreter` by name; swapping
+    that name is the only way to put the walker under a full pipeline.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reader_mod, "BytecodeInterpreter", TreeWalker)
+        yield

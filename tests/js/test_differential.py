@@ -1,7 +1,8 @@
 """Differential harness: the bytecode VM against the reference walker.
 
-Every observable the host can see must be bit-for-bit identical across
-``repro.js`` engines: completion values, thrown errors, consumed step
+Every observable the host can see must be bit-for-bit identical between
+the production VM and the tree-walking oracle (``tests/js/oracle.py``):
+completion values, thrown errors, consumed step
 budget, string-allocation telemetry (``Host.allocated_bytes``), the
 spray pool, and — at the pipeline level — verdicts, fired features,
 alerts, fake messages and quarantined files.  The bytecode engine is
@@ -35,9 +36,9 @@ from repro.corpus.js_snippets import (
     spray_script,
     version_gated,
 )
-from repro.js import make_interpreter
-from repro.js.interpreter import Host
+from repro.js.runtime import Host
 from repro.reader.payload import Payload
+from tests.js.oracle import make_engine, reader_runs_oracle
 
 pytestmark = pytest.mark.diff
 
@@ -54,7 +55,7 @@ def run_engine(
     can produce.
     """
     host = Host()
-    interp = make_interpreter(engine, host=host, max_steps=max_steps)
+    interp = make_engine(engine, host=host, max_steps=max_steps)
     try:
         status: Tuple[Any, ...] = ("ok", repr(interp.run(source)))
     except Exception as exc:  # noqa: BLE001 - errors are part of the contract
@@ -246,50 +247,13 @@ def test_full_pipeline_corpus_identical() -> None:
     samples = list(dataset.all_samples())
     assert samples, "corpus generator produced no samples"
     mismatches = []
-    ast_pipe = PipelineSettings(js_engine="ast").build()
-    bc_pipe = PipelineSettings(js_engine="bytecode").build()
+    ast_pipe = PipelineSettings().build()
+    bc_pipe = PipelineSettings().build()
     for sample in samples:
-        ast_fp = report_fingerprint(ast_pipe.scan(sample.data, sample.name))
+        with reader_runs_oracle():
+            ast_fp = report_fingerprint(ast_pipe.scan(sample.data, sample.name))
         bc_fp = report_fingerprint(bc_pipe.scan(sample.data, sample.name))
         if ast_fp != bc_fp:
             mismatches.append((sample.name, ast_fp, bc_fp))
     assert not mismatches, f"verdict divergence on {len(mismatches)} documents: {mismatches}"
 
-
-def test_engine_selection_is_explicit() -> None:
-    """A pipeline records the engine it was asked for; the resolver, not
-    the pipeline, owns the env-var/default fallback."""
-    from repro.js import DEFAULT_JS_ENGINE, resolve_js_engine
-
-    assert resolve_js_engine("ast") == "ast"
-    assert resolve_js_engine("bytecode") == "bytecode"
-    assert resolve_js_engine(None) in ("ast", "bytecode")
-    assert DEFAULT_JS_ENGINE == "bytecode"
-    with pytest.raises(ValueError):
-        resolve_js_engine("jit")
-
-
-def test_env_var_fallback(monkeypatch) -> None:
-    from repro.js import resolve_js_engine
-
-    monkeypatch.setenv("REPRO_JS_ENGINE", "ast")
-    assert resolve_js_engine(None) == "ast"
-    monkeypatch.setenv("REPRO_JS_ENGINE", "bytecode")
-    assert resolve_js_engine(None) == "bytecode"
-    monkeypatch.setenv("REPRO_JS_ENGINE", "nope")
-    with pytest.raises(ValueError):
-        resolve_js_engine(None)
-    monkeypatch.delenv("REPRO_JS_ENGINE")
-    from repro.js import DEFAULT_JS_ENGINE
-
-    assert resolve_js_engine(None) == DEFAULT_JS_ENGINE
-
-
-def test_make_interpreter_returns_requested_engine() -> None:
-    from repro.js.interpreter import Interpreter
-    from repro.js.vm import BytecodeInterpreter
-
-    walker = make_interpreter("ast")
-    compiled = make_interpreter("bytecode")
-    assert type(walker) is Interpreter
-    assert isinstance(compiled, BytecodeInterpreter)

@@ -5,16 +5,14 @@ The charging rule (one step per walker ``exec_statement`` /
 a verdict can hinge on *where* the step budget blows, so both engines
 must count identically — these tests pin the exact totals so a charge
 regression shows up as a number, not as a distant verdict flip.  Also
-covered here: the per-process code cache, cross-engine function
-objects, the profiler fallback, and the ``arguments``-elision
-optimisation.
+covered here: the per-process code cache, fused opcodes and the
+``arguments``-elision optimisation.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.js import make_interpreter
 from repro.js.compiler import (
     INC_SLOT,
     STORE_SLOT_POP,
@@ -23,7 +21,7 @@ from repro.js.compiler import (
     compile_source,
     disassemble,
 )
-from repro.js.vm import BytecodeInterpreter
+from tests.js.oracle import make_engine
 
 # One step per statement/expression the walker would visit, pre-order.
 # Totals were measured on the reference walker; the VM must agree.
@@ -48,8 +46,8 @@ PINNED_STEPS = [
 
 @pytest.mark.parametrize("source,expected", PINNED_STEPS, ids=lambda c: str(c)[:40])
 def test_pinned_step_counts(source, expected) -> None:
-    walker = make_interpreter("ast")
-    compiled = make_interpreter("bytecode")
+    walker = make_engine("ast")
+    compiled = make_engine("bytecode")
     walker.run(source)
     compiled.run(source)
     assert walker.steps == expected, f"walker drifted on {source!r}"
@@ -61,7 +59,7 @@ def test_budget_blows_at_identical_tick() -> None:
     for budget in (1, 2, 3, 5, 8, 13, 21, 34):
         runs = []
         for engine in ("ast", "bytecode"):
-            interp = make_interpreter(engine, max_steps=budget)
+            interp = make_engine(engine, max_steps=budget)
             try:
                 interp.run(source)
                 outcome = "ok"
@@ -103,46 +101,6 @@ def test_parse_errors_are_not_cached() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cross-engine function objects: a function created by one engine must be
-# callable from the other (the reader shares one global environment).
-
-
-def test_walker_function_callable_from_vm() -> None:
-    walker = make_interpreter("ast")
-    walker.run("function shared(n) { return n * 2; }")
-    fn = walker.global_env.lookup("shared")
-    compiled = BytecodeInterpreter(host=walker.host)
-    compiled.global_env = walker.global_env
-    assert compiled.call_function(fn, compiled.global_this, [21.0]) == 42.0
-
-
-def test_vm_function_callable_from_walker() -> None:
-    compiled = make_interpreter("bytecode")
-    compiled.run("function shared(n) { return n + 1; }")
-    fn = compiled.global_env.lookup("shared")
-    walker = make_interpreter("ast", host=compiled.host)
-    walker.global_env = compiled.global_env
-    assert walker.call_function(fn, walker.global_this, [41.0]) == 42.0
-
-
-# ---------------------------------------------------------------------------
-# Profiler fallback: JSProfile needs per-AST-node attribution, so an
-# attached profile routes execution through the inherited walker.
-
-
-def test_profile_attaches_via_walker_path() -> None:
-    from repro.obs.profile import ScanProfile
-
-    profile = ScanProfile().start()
-    interp = make_interpreter("bytecode")
-    interp.set_profile(profile.js)
-    assert interp.run("var p = 0; for (var i = 0; i < 3; i++) p += i; p") == 3.0
-    profile.finish()
-    # The walker path must have attributed at least one node kind.
-    assert profile.js.node_stats
-
-
-# ---------------------------------------------------------------------------
 # Fused opcodes and the arguments-elision optimisation
 
 
@@ -181,7 +139,7 @@ def test_arguments_init_elided_when_unreferenced() -> None:
 
 def test_arguments_still_behaves_when_used() -> None:
     for engine in ("ast", "bytecode"):
-        interp = make_interpreter(engine)
+        interp = make_engine(engine)
         got = interp.run(
             "function probe() { return arguments.length + ':' + arguments[0]; }"
             " probe('x', 'y')"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.pipeline import ProtectionPipeline
+from repro.js.vm import SAMPLE_STEPS, BytecodeInterpreter
 from repro.obs import profile as profile_mod
 from repro.obs.profile import PHASES, JSProfile, ScanProfile, SlowScanBuffer
 
@@ -119,73 +120,152 @@ class TestAmbientScope:
 
 
 class TestJSProfile:
-    def test_dispatch_self_time_excludes_children(self):
+    def test_samples_bill_the_following_interval(self):
         clock = FakeClock()
         profile = JSProfile(clock=clock)
+        profile.sample("ForStatement")
+        clock.advance(1.0)
+        profile.sample("CallExpression")
+        clock.advance(2.0)
+        profile.pause()
+        clock.advance(5.0)  # host code between two scripts: not JS time
+        profile.sample("ForStatement")
+        clock.advance(0.5)
+        profile.pause()
+        assert profile.node_self_seconds == pytest.approx(
+            {"ForStatement": 1.5, "CallExpression": 2.0}
+        )
+        assert profile.node_hits == {"ForStatement": 2, "CallExpression": 1}
+        assert profile.total_self_seconds == pytest.approx(3.5)
 
-        def leaf(node, env, this):
-            clock.advance(1.0)
-
-        def parent(node, env, this):
-            clock.advance(0.5)
-            profile.dispatch("Leaf", leaf, None, None, None)
-            clock.advance(0.5)
-
-        profile.dispatch("Parent", parent, None, None, None)
-        assert profile.node_self_seconds["Parent"] == pytest.approx(1.0)
-        assert profile.node_self_seconds["Leaf"] == pytest.approx(1.0)
-        assert profile.node_hits == {"Parent": 1, "Leaf": 1}
+    def test_call_self_time_excludes_callees(self):
+        clock = FakeClock()
+        profile = JSProfile(clock=clock)
+        outer = profile.enter_call("outer")
+        clock.advance(0.5)
+        inner = profile.enter_call("inner")
+        clock.advance(1.0)
+        profile.exit_call(inner)
+        clock.advance(0.5)
+        profile.exit_call(outer)
+        sites = {row["function"]: row for row in profile.call_sites()}
+        assert sites["outer"]["seconds"] == pytest.approx(2.0)
+        assert sites["outer"]["self_seconds"] == pytest.approx(1.0)
+        assert sites["inner"]["self_seconds"] == pytest.approx(1.0)
 
     def test_hotspots_ranked_by_self_time(self):
         clock = FakeClock()
         profile = JSProfile(clock=clock)
-
-        def make(seconds):
-            def method(node, env, this):
-                clock.advance(seconds)
-
-            return method
-
-        profile.dispatch("Cheap", make(0.1), None, None, None)
-        profile.dispatch("Costly", make(5.0), None, None, None)
-        profile.dispatch("Middling", make(1.0), None, None, None)
+        for kind, seconds in (("Cheap", 0.1), ("Costly", 5.0), ("Middling", 1.0)):
+            profile.sample(kind)
+            clock.advance(seconds)
+        profile.pause()
         ranked = [row["node"] for row in profile.hotspots(2)]
         assert ranked == ["Costly", "Middling"]
 
     def test_call_sites_and_collapsed_lines(self):
         clock = FakeClock()
         profile = JSProfile(clock=clock)
-        start = profile.enter_call("outer")
-        clock.advance(1.0)
-        inner = profile.enter_call("inner")
-        clock.advance(2.0)
-        profile.exit_call("inner", inner)
-        profile.exit_call("outer", start)
+        for _ in range(2):
+            start = profile.enter_call("outer")
+            clock.advance(1.0)
+            inner = profile.enter_call("inner")
+            clock.advance(2.0)
+            profile.exit_call(inner)
+            profile.exit_call(start)
 
-        sites = {row["function"]: row for row in profile.call_sites()}
-        assert sites["outer"]["seconds"] == pytest.approx(3.0)
-        assert sites["outer"]["self_seconds"] == pytest.approx(1.0)
-        assert sites["inner"]["self_seconds"] == pytest.approx(2.0)
-
-        lines = profile.collapsed_lines()
-        assert "(root);outer 1000000" in lines
-        assert "(root);outer;inner 2000000" in lines
+        sites = profile.call_sites()
+        assert [row["function"] for row in sites] == ["outer", "inner"]
+        outer, inner = sites
+        assert outer == pytest.approx(
+            {"function": "outer", "seconds": 6.0, "self_seconds": 2.0, "calls": 2}
+        )
+        assert inner["calls"] == 2
+        assert inner["self_seconds"] == pytest.approx(4.0)
+        assert profile.collapsed_lines() == [
+            "(root);outer 2000000",
+            "(root);outer;inner 4000000",
+        ]
 
     def test_merge_accumulates(self):
         clock = FakeClock()
         a, b = JSProfile(clock=clock), JSProfile(clock=clock)
-
-        def method(node, env, this):
+        for profile, kinds in ((a, ["Node"]), (b, ["Node", "Other"])):
+            for kind in kinds:
+                profile.sample(kind)
+                clock.advance(1.0)
+            profile.pause()
+            start = profile.enter_call("f")
             clock.advance(1.0)
-
-        a.dispatch("Node", method, None, None, None)
-        b.dispatch("Node", method, None, None, None)
-        b.dispatch("Other", method, None, None, None)
+            profile.exit_call(start)
         a.merge(b)
         assert a.node_hits == {"Node": 2, "Other": 1}
         assert a.node_self_seconds["Node"] == pytest.approx(2.0)
+        assert a.call_sites()[0]["calls"] == 2
+        assert a.collapsed_lines() == ["(root);f 2000000"]
         # b is untouched.
         assert b.node_hits == {"Node": 1, "Other": 1}
+        assert b.call_sites()[0]["calls"] == 1
+
+
+class TestVMSampling:
+    """The bytecode VM drives JSProfile: sampled nodes, timed calls."""
+
+    LOOP = "var s = 0; for (var i = 0; i < 3000; i++) { s += i; } s"
+
+    def _profiled(self, source, clock=None):
+        interp = BytecodeInterpreter()
+        profile = JSProfile(clock=clock or FakeClock())
+        interp.set_profile(profile)
+        result = interp.run(source)
+        return interp, profile, result
+
+    def test_samples_every_few_steps_with_walker_node_kinds(self):
+        interp, profile, result = self._profiled(self.LOOP)
+        assert result == sum(range(3000))
+        samples = sum(profile.node_hits.values())
+        assert interp.steps // (2 * SAMPLE_STEPS) <= samples
+        assert samples <= interp.steps // (SAMPLE_STEPS // 2) + 1
+        assert set(profile.node_hits) <= {
+            "Program", "VarDeclaration", "ForStatement", "BinaryExpression",
+            "Identifier", "NumberLiteral", "UpdateExpression", "Block",
+            "ExpressionStatement", "AssignmentExpression",
+        }
+        assert {"BinaryExpression", "Identifier"} <= set(profile.node_hits)
+
+    def test_same_program_gives_identical_hits(self):
+        _, first, _ = self._profiled(self.LOOP)
+        _, second, _ = self._profiled(self.LOOP)
+        assert first.node_hits == second.node_hits
+
+    def test_sampling_leaves_results_and_steps_unchanged(self):
+        plain = BytecodeInterpreter()
+        expected = plain.run(self.LOOP)
+        interp, _, result = self._profiled(self.LOOP)
+        assert (result, interp.steps) == (expected, plain.steps)
+
+    def test_calls_and_natives_are_timed(self):
+        _, profile, result = self._profiled(
+            "function twice(x) { return x + x; }"
+            " var out = ''; for (var i = 0; i < 5; i++)"
+            " { out += twice(String.fromCharCode(65 + i)); } out"
+        )
+        assert result == "AABBCCDDEE"
+        calls = {row["function"]: row["calls"] for row in profile.call_sites()}
+        assert calls == {"twice": 5, "fromCharCode": 5}
+
+    def test_script_time_is_billed_to_sampled_nodes(self):
+        clock = FakeClock()
+
+        def ticking():
+            clock.advance(0.001)
+            return clock.now
+
+        _, profile, _ = self._profiled(self.LOOP, clock=ticking)
+        samples = sum(profile.node_hits.values())
+        # Each sample bills one tick of the clock; the run's last
+        # interval is closed when the script returns.
+        assert profile.total_self_seconds == pytest.approx(0.001 * samples)
 
 
 # -- SlowScanBuffer --------------------------------------------------------
@@ -239,7 +319,15 @@ class TestSlowScanBuffer:
 
 
 class TestPipelineProfiling:
-    def test_profiled_scan_attaches_profile(self, js_doc_bytes):
+    def test_profiled_scan_attaches_profile(self, js_doc_bytes, monkeypatch):
+        executed = []
+        run_code = BytecodeInterpreter._run_code
+
+        def spy(self, code, *args):
+            executed.append(code)
+            return run_code(self, code, *args)
+
+        monkeypatch.setattr(BytecodeInterpreter, "_run_code", spy)
         pipeline = ProtectionPipeline(seed=7, profile=True)
         report = pipeline.scan(js_doc_bytes, "with-js.pdf")
         profile = report.profile
@@ -255,7 +343,19 @@ class TestPipelineProfiling:
             assert phases[name] > 0.0, name
         assert profile.counters.get("scripts_executed", 0) >= 1
         assert profile.counters.get("js_steps", 0) > 0
-        assert profile.js.hotspots(5)  # eval loop attributed node time
+        # The VM ran the scripts, and every sampled node kind is one its
+        # executed bytecode charged a step to.
+        assert executed
+        charged = {kind for code in executed for ticks in code.kinds for kind in ticks}
+        assert profile.js.hotspots(5)
+        assert set(profile.js.node_hits) <= charged
+
+    def test_profiling_a_document_twice_gives_identical_hits(self, js_doc_bytes):
+        pipeline = ProtectionPipeline(seed=7, profile=True)
+        first = pipeline.scan(js_doc_bytes, "with-js.pdf").profile
+        second = pipeline.scan(js_doc_bytes, "with-js.pdf").profile
+        assert first.js.node_hits
+        assert first.js.node_hits == second.js.node_hits
 
     def test_profile_is_in_report_dict(self, js_doc_bytes):
         pipeline = ProtectionPipeline(seed=7, profile=True)

@@ -17,8 +17,8 @@ from typing import Any, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.js import make_interpreter
-from repro.js.interpreter import Host
+from repro.js.runtime import Host
+from tests.js.oracle import make_engine
 
 pytestmark = pytest.mark.diff
 
@@ -128,7 +128,7 @@ def _js_quote(text: str) -> str:
 
 def footprint(engine: str, source: str) -> Tuple[Any, ...]:
     host = Host()
-    interp = make_interpreter(engine, host=host, max_steps=MAX_STEPS)
+    interp = make_engine(engine, host=host, max_steps=MAX_STEPS)
     try:
         status: Tuple[Any, ...] = ("ok", repr(interp.run(source)))
     except Exception as exc:  # noqa: BLE001
@@ -168,7 +168,7 @@ def test_random_budget_cutoffs_agree(source, budget):
     """The budget must blow at the same tick for any cutoff."""
     runs = []
     for engine in ("ast", "bytecode"):
-        interp = make_interpreter(engine, max_steps=budget)
+        interp = make_engine(engine, max_steps=budget)
         try:
             interp.run(source)
             outcome: Tuple[Any, ...] = ("ok",)

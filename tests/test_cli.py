@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.batch.scanner import DEFAULT_BACKEND
+from repro.cli import _build_parser, main
 from repro.pdf.document import PDFDocument
 
 
@@ -294,7 +295,12 @@ class TestProfile:
         assert abs(
             sum(payload["phases"].values()) - payload["total_seconds"]
         ) <= 0.05 * payload["total_seconds"]
-        assert len(payload["js"]["hotspots"]) <= 3
+        hotspots = payload["js"]["hotspots"]
+        assert 1 <= len(hotspots) <= 3
+        for row in hotspots:
+            assert set(row) == {"node", "self_seconds", "hits"}
+        for row in payload["js"]["call_sites"]:
+            assert set(row) == {"function", "seconds", "self_seconds", "calls"}
 
     def test_profile_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "absent.pdf")]) == 2
@@ -312,3 +318,11 @@ class TestProfile:
         assert "phases    :" in out
         payload = json.loads(out[out.index("{"):])
         assert payload["phase_totals"]["js-exec"] > 0.0
+
+
+class TestWorkerBackendDefault:
+    @pytest.mark.parametrize(
+        "argv", [["batch", "corpus"], ["serve"], ["cluster"]], ids=lambda a: a[0]
+    )
+    def test_default_is_the_measured_constant(self, argv):
+        assert _build_parser().parse_args(argv).backend == DEFAULT_BACKEND
