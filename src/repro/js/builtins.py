@@ -10,7 +10,7 @@ interpreter (seeded LCG) so every experiment is reproducible.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.js.errors import JSRuntimeError
 from repro.js.values import (
@@ -20,6 +20,8 @@ from repro.js.values import (
     UNDEFINED,
     format_number,
     is_callable,
+    to_int32,
+    to_integer,
     to_number,
     to_string,
     truthy,
@@ -30,21 +32,33 @@ def _arg(args: List[Any], index: int, default: Any = UNDEFINED) -> Any:
     return args[index] if index < len(args) else default
 
 
-def _string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
-    # Single float argument is the shellcode-builder hot path.
-    if len(args) == 1 and type(args[0]) is float:
-        return chr(int(args[0]) & 0xFFFF)
-    return interp._record_string(
-        "".join(chr(int(to_number(x)) & 0xFFFF) for x in args)
-    )
-
-
 # ---------------------------------------------------------------------------
-# Global functions
+# Interpreter-free value functions.  The natives installed below wrap
+# them with heap accounting; the static analyser (``repro.jsast``) folds
+# constants through them directly, so a fold is exactly the VM's value.
 
 
-def _unescape(interp: Any, this: Any, args: List[Any]) -> str:
-    text = to_string(_arg(args, 0, ""))
+def _char_of(code: Any) -> str:
+    """One ``String.fromCharCode`` unit: ToUint16, NaN/±Infinity → 0."""
+    number = to_number(code)
+    if -math.inf < number < math.inf:
+        return chr(int(number) & 0xFFFF)
+    return "\x00"
+
+
+def from_char_code(args: List[Any]) -> str:
+    return "".join(_char_of(x) for x in args)
+
+
+def _string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
+    # Single finite float argument is the shellcode-builder hot path.
+    if len(args) == 1 and type(args[0]) is float and -math.inf < args[0] < math.inf:
+        return chr(int(args[0]) & 0xFFFF)
+    return interp._record_string(from_char_code(args))
+
+
+def unescape(text: str) -> str:
+    """The classic ``unescape``: ``%uXXXX`` and ``%XX`` decoding."""
     out: List[str] = []
     i = 0
     n = len(text)
@@ -64,13 +78,10 @@ def _unescape(interp: Any, this: Any, args: List[Any]) -> str:
                 continue
         out.append(ch)
         i += 1
-    result = "".join(out)
-    interp._record_string(result)
-    return result
+    return "".join(out)
 
 
-def _escape(interp: Any, this: Any, args: List[Any]) -> str:
-    text = to_string(_arg(args, 0, ""))
+def escape(text: str) -> str:
     out: List[str] = []
     for ch in text:
         code = ord(ch)
@@ -80,21 +91,22 @@ def _escape(interp: Any, this: Any, args: List[Any]) -> str:
             out.append("%%%02X" % code)
         else:
             out.append("%%u%04X" % code)
-    return interp._record_string("".join(out))
+    return "".join(out)
 
 
 def _is_hex(text: str) -> bool:
     return all(c in "0123456789abcdefABCDEF" for c in text)
 
 
-def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
+def parse_int(args: List[Any]) -> float:
     text = to_string(_arg(args, 0, "")).strip()
-    radix_value = _arg(args, 1, UNDEFINED)
-    radix = int(to_number(radix_value)) if radix_value is not UNDEFINED else 0
+    radix = to_int32(_arg(args, 1))
     sign = 1
     if text.startswith(("-", "+")):
         sign = -1 if text[0] == "-" else 1
         text = text[1:]
+    if radix != 0 and not 2 <= radix <= 36:
+        return math.nan
     if radix in (0, 16) and text[:2].lower() == "0x":
         text = text[2:]
         radix = 16
@@ -106,10 +118,14 @@ def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
         end += 1
     if end == 0:
         return math.nan
-    return float(sign * int(text[:end], radix))
+    try:
+        return float(sign * int(text[:end], radix))
+    except (ValueError, OverflowError):
+        # Past Python's digit limit or float range: the value is huge.
+        return sign * math.inf
 
 
-def _parse_float(interp: Any, this: Any, args: List[Any]) -> float:
+def parse_float(args: List[Any]) -> float:
     text = to_string(_arg(args, 0, "")).strip()
     end = 0
     seen_dot = seen_e = False
@@ -133,6 +149,28 @@ def _parse_float(interp: Any, this: Any, args: List[Any]) -> float:
         return float(text[:end])
     except ValueError:
         return math.nan
+
+
+#: Global functions whose value depends on their arguments alone,
+#: ``name -> fn(args)``; ``install_globals`` installs them as natives.
+PURE_GLOBALS: Dict[str, Callable[[List[Any]], Any]] = {
+    "unescape": lambda a: unescape(to_string(_arg(a, 0, ""))),
+    "escape": lambda a: escape(to_string(_arg(a, 0, ""))),
+    "parseInt": parse_int,
+    "parseFloat": parse_float,
+    "isNaN": lambda a: math.isnan(to_number(_arg(a, 0))),
+    "isFinite": lambda a: math.isfinite(to_number(_arg(a, 0))),
+    "String": lambda a: to_string(_arg(a, 0, "")),
+    "Number": lambda a: to_number(_arg(a, 0, 0.0)),
+    "Boolean": lambda a: truthy(_arg(a, 0)),
+}
+
+
+def _pure_native(name: str) -> NativeFunction:
+    fn = PURE_GLOBALS[name]
+    if name in ("unescape", "escape"):  # build new strings: charge them
+        return NativeFunction(name, lambda i, t, a: i._record_string(fn(a)))
+    return NativeFunction(name, lambda i, t, a: fn(a))
 
 
 class _SeededRandom:
@@ -159,18 +197,8 @@ def install_globals(interp: Any) -> None:
     env.declare("Infinity", math.inf)
     env.declare("undefined", UNDEFINED)
 
-    env.declare("unescape", NativeFunction("unescape", _unescape))
-    env.declare("escape", NativeFunction("escape", _escape))
-    env.declare("parseInt", NativeFunction("parseInt", _parse_int))
-    env.declare("parseFloat", NativeFunction("parseFloat", _parse_float))
-    env.declare(
-        "isNaN",
-        NativeFunction("isNaN", lambda i, t, a: math.isnan(to_number(_arg(a, 0)))),
-    )
-    env.declare(
-        "isFinite",
-        NativeFunction("isFinite", lambda i, t, a: math.isfinite(to_number(_arg(a, 0)))),
-    )
+    for name in PURE_GLOBALS:
+        env.declare(name, _pure_native(name))
     env.declare(
         "eval",
         NativeFunction(
@@ -178,17 +206,14 @@ def install_globals(interp: Any) -> None:
         ),
     )
 
-    string_ctor = NativeFunction("String", lambda i, t, a: to_string(_arg(a, 0, "")))
-    string_ctor.set(
+    env.lookup("String").set(
         "fromCharCode", NativeFunction("fromCharCode", _string_from_char_code)
     )
-    env.declare("String", string_ctor)
-
-    env.declare("Number", NativeFunction("Number", lambda i, t, a: to_number(_arg(a, 0, 0.0))))
-    env.declare("Boolean", NativeFunction("Boolean", lambda i, t, a: truthy(_arg(a, 0))))
 
     def _array_ctor(i: Any, t: Any, a: List[Any]) -> JSArray:
         if len(a) == 1 and isinstance(a[0], float):
+            if not (0 <= a[0] < 2**32 and a[0] == int(a[0])):
+                raise JSRuntimeError("invalid array length", "RangeError")
             return JSArray([UNDEFINED] * int(a[0]))
         return JSArray(list(a))
 
@@ -201,26 +226,27 @@ def install_globals(interp: Any) -> None:
     math_obj = JSObject(class_name="Math")
     math_obj.set("PI", math.pi)
     math_obj.set("E", math.e)
-    for name, fn in {
-        "floor": lambda i, t, a: float(math.floor(to_number(_arg(a, 0)))),
-        "ceil": lambda i, t, a: float(math.ceil(to_number(_arg(a, 0)))),
-        "round": lambda i, t, a: float(math.floor(to_number(_arg(a, 0)) + 0.5)),
-        "abs": lambda i, t, a: abs(to_number(_arg(a, 0))),
-        "sqrt": lambda i, t, a: math.sqrt(to_number(_arg(a, 0))) if to_number(_arg(a, 0)) >= 0 else math.nan,
-        "pow": lambda i, t, a: float(to_number(_arg(a, 0)) ** to_number(_arg(a, 1))),
+    unary: Dict[str, Callable[[float], float]] = {
+        "floor": lambda x: float(math.floor(x)) if math.isfinite(x) else x,
+        "ceil": lambda x: float(math.ceil(x)) if math.isfinite(x) else x,
+        "round": lambda x: float(math.floor(x + 0.5)) if math.isfinite(x) else x,
+        "abs": abs,
+        "sqrt": lambda x: math.sqrt(x) if x >= 0 else math.nan,
+        "log": lambda x: math.log(x) if x > 0 else -math.inf if x == 0 else math.nan,
+        "exp": _exp,
+        "sin": lambda x: math.sin(x) if math.isfinite(x) else math.nan,
+        "cos": lambda x: math.cos(x) if math.isfinite(x) else math.nan,
+        "atan": math.atan,
+    }
+    for name, fn in unary.items():
+        math_obj.set(name, NativeFunction(name, lambda i, t, a, f=fn: f(to_number(_arg(a, 0)))))
+    for name, native in {
+        "pow": lambda i, t, a: _pow(to_number(_arg(a, 0)), to_number(_arg(a, 1))),
         "max": lambda i, t, a: max((to_number(x) for x in a), default=-math.inf),
         "min": lambda i, t, a: min((to_number(x) for x in a), default=math.inf),
-        "log": lambda i, t, a: (
-            math.log(to_number(_arg(a, 0))) if to_number(_arg(a, 0)) > 0 else -math.inf
-            if to_number(_arg(a, 0)) == 0 else math.nan
-        ),
-        "exp": lambda i, t, a: math.exp(to_number(_arg(a, 0))),
-        "sin": lambda i, t, a: math.sin(to_number(_arg(a, 0))),
-        "cos": lambda i, t, a: math.cos(to_number(_arg(a, 0))),
-        "atan": lambda i, t, a: math.atan(to_number(_arg(a, 0))),
+        "random": lambda i, t, a: rng.next(),
     }.items():
-        math_obj.set(name, NativeFunction(name, fn))
-    math_obj.set("random", NativeFunction("random", lambda i, t, a: rng.next()))
+        math_obj.set(name, NativeFunction(name, native))
     env.declare("Math", math_obj)
 
     error_ctor = NativeFunction(
@@ -231,6 +257,23 @@ def install_globals(interp: Any) -> None:
     env.declare("Error", error_ctor)
 
     env.declare("Date", _make_date_constructor(interp))
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _pow(base: float, exponent: float) -> float:
+    try:
+        result = base ** exponent
+    except ZeroDivisionError:  # 0 ** negative
+        return math.inf
+    except OverflowError:
+        return -math.inf if base < 0 and exponent % 2 == 1 else math.inf
+    return result if isinstance(result, float) else math.nan  # complex root
 
 
 #: Epoch base for the virtual Date: 2013-06-01T00:00:00Z — inside the
@@ -297,71 +340,128 @@ def primitive_property(interp: Any, obj: Any, name: str) -> Any:
     raise JSRuntimeError(f"cannot read property {name!r}", "TypeError")
 
 
-def _clamp_index(x: Any, default: float) -> int:
-    number = to_number(x) if x is not UNDEFINED else default
-    if math.isnan(number):
-        number = 0.0
-    return int(number)
+def _clamped_index(value: Any, length: int, default: int) -> int:
+    """``substring``-style position: ToIntegerOrInfinity clamped to
+    ``[0, length]``; ``undefined`` means ``default``."""
+    if value is UNDEFINED:
+        return default
+    return int(min(max(to_integer(value), 0.0), float(length)))
 
 
-def _str_char_at(interp: Any, value: str, args: List[Any]) -> str:
-    index = _clamp_index(_arg(args, 0, 0.0), 0.0)
-    return value[index] if 0 <= index < len(value) else ""
+def _relative_index(value: Any, length: int, default: int) -> int:
+    """``slice``-style position: negative counts from the end."""
+    if value is UNDEFINED:
+        return default
+    number = to_integer(value)
+    if number < 0:
+        return int(max(length + number, 0.0))
+    return int(min(number, float(length)))
 
 
-def _str_char_code_at(interp: Any, value: str, args: List[Any]) -> float:
-    # Float index is the deobfuscation-loop hot path (int(nan) would
-    # raise, so NaN still detours through _clamp_index).
+def _char_at(value: str, args: List[Any]) -> str:
+    index = to_integer(_arg(args, 0))
+    return value[int(index)] if 0 <= index < len(value) else ""
+
+
+def _char_code_at(value: str, args: List[Any]) -> float:
+    # A finite in-range float index is the deobfuscation-loop hot path.
     if args:
-        index_value = args[0]
-        if type(index_value) is float and index_value == index_value:
-            index = int(index_value)
-            return float(ord(value[index])) if 0 <= index < len(value) else math.nan
-    index = _clamp_index(_arg(args, 0, 0.0), 0.0)
-    return float(ord(value[index])) if 0 <= index < len(value) else math.nan
+        index = args[0]
+        if type(index) is float and 0.0 <= index < len(value):
+            return float(ord(value[int(index)]))
+    index = to_integer(_arg(args, 0))
+    return float(ord(value[int(index)])) if 0 <= index < len(value) else math.nan
 
 
-def _str_index_of(interp: Any, value: str, args: List[Any]) -> float:
-    return float(value.find(to_string(_arg(args, 0, "")), _clamp_index(_arg(args, 1, 0.0), 0.0)))
+def _index_of(value: str, args: List[Any]) -> float:
+    start = _clamped_index(_arg(args, 1), len(value), 0)
+    return float(value.find(to_string(_arg(args, 0, "")), start))
 
 
-def _str_last_index_of(interp: Any, value: str, args: List[Any]) -> float:
+def _last_index_of(value: str, args: List[Any]) -> float:
     return float(value.rfind(to_string(_arg(args, 0, ""))))
 
 
-def _str_replace(interp: Any, value: str, args: List[Any]) -> str:
-    return interp._record_string(
-        value.replace(to_string(_arg(args, 0, "")), to_string(_arg(args, 1, "")), 1)
-    )
+def _substring(value: str, args: List[Any]) -> str:
+    start = _clamped_index(_arg(args, 0), len(value), 0)
+    end = _clamped_index(_arg(args, 1), len(value), len(value))
+    if start > end:
+        start, end = end, start
+    return value[start:end]
 
 
-def _str_concat(interp: Any, value: str, args: List[Any]) -> str:
-    return interp._record_string(value + "".join(to_string(x) for x in args))
+def _substr(value: str, args: List[Any]) -> str:
+    start = _relative_index(_arg(args, 0), len(value), 0)
+    count_arg = _arg(args, 1)
+    count = len(value) if count_arg is UNDEFINED else to_integer(count_arg)
+    count = min(max(count, 0.0), float(len(value) - start))
+    return value[start : start + int(count)]
+
+
+def _slice_str(value: str, args: List[Any]) -> str:
+    start = _relative_index(_arg(args, 0), len(value), 0)
+    end = _relative_index(_arg(args, 1), len(value), len(value))
+    return value[start:end]
+
+
+def _split(value: str, args: List[Any]) -> JSArray:
+    separator = _arg(args, 0, UNDEFINED)
+    if separator is UNDEFINED:
+        return JSArray([value])
+    sep = to_string(separator)
+    if sep == "":
+        return JSArray(list(value))
+    return JSArray(value.split(sep))
+
+
+def _replace(value: str, args: List[Any]) -> str:
+    return value.replace(to_string(_arg(args, 0, "")), to_string(_arg(args, 1, "")), 1)
+
+
+def _concat(value: str, args: List[Any]) -> str:
+    return value + "".join(to_string(x) for x in args)
+
+
+#: String methods as interpreter-free functions ``(receiver, args)``.
+#: The static analyser folds constant calls through these.
+STRING_FUNCTIONS: Dict[str, Callable[[str, List[Any]], Any]] = {
+    "charAt": _char_at,
+    "charCodeAt": _char_code_at,
+    "indexOf": _index_of,
+    "lastIndexOf": _last_index_of,
+    "substring": _substring,
+    "substr": _substr,
+    "slice": _slice_str,
+    "toUpperCase": lambda v, a: v.upper(),
+    "toLowerCase": lambda v, a: v.lower(),
+    "split": _split,
+    "replace": _replace,
+    "concat": _concat,
+    "trim": lambda v, a: v.strip(),
+    "toString": lambda v, a: v,
+    "valueOf": lambda v, a: v,
+}
+
+#: Methods whose result is a freshly built string (heap-accounted).
+_ALLOCATING_METHODS = (
+    "substring", "substr", "slice", "toUpperCase", "toLowerCase",
+    "replace", "concat", "trim",
+)
+
+
+def _method(name: str) -> Callable[[Any, str, List[Any]], Any]:
+    fn = STRING_FUNCTIONS[name]
+    if name in _ALLOCATING_METHODS:
+        return lambda i, v, a: i._record_string(fn(v, a))
+    return lambda i, v, a: fn(v, a)
 
 
 #: String methods keyed by name, signature ``(interp, value, args)``
-#: where ``value`` is the receiver string.  Shared by the tree-walker
-#: (wrapped per access in a NativeFunction below) and dispatched
-#: directly — no wrapper allocation — by the bytecode VM's
-#: string-method fast path.  Heap accounting (``_record_string``) lives
-#: inside each method, so both engines charge identically.
-STRING_METHODS = {
-    "charAt": _str_char_at,
-    "charCodeAt": _str_char_code_at,
-    "indexOf": _str_index_of,
-    "lastIndexOf": _str_last_index_of,
-    "substring": lambda i, v, a: i._record_string(_substring(v, a)),
-    "substr": lambda i, v, a: i._record_string(_substr(v, a)),
-    "slice": lambda i, v, a: i._record_string(_slice_str(v, a)),
-    "toUpperCase": lambda i, v, a: i._record_string(v.upper()),
-    "toLowerCase": lambda i, v, a: i._record_string(v.lower()),
-    "split": lambda i, v, a: _split(v, a),
-    "replace": _str_replace,
-    "concat": _str_concat,
-    "trim": lambda i, v, a: i._record_string(v.strip()),
-    "toString": lambda i, v, a: v,
-    "valueOf": lambda i, v, a: v,
-}
+#: where ``value`` is the receiver string: :data:`STRING_FUNCTIONS`
+#: plus heap accounting (``_record_string``).  Wrapped per access in a
+#: NativeFunction below, and dispatched directly — no wrapper
+#: allocation — by the bytecode VM's string-method fast path.
+STRING_METHODS = {name: _method(name) for name in STRING_FUNCTIONS}
 
 
 def _string_property(interp: Any, value: str, name: str) -> Any:
@@ -376,47 +476,14 @@ def _string_property(interp: Any, value: str, name: str) -> Any:
     return NativeFunction(name, lambda i, t, a, _fn=fn, _v=value: _fn(i, _v, a))
 
 
-def _substring(value: str, args: List[Any]) -> str:
-    start = int(max(0, min(len(value), to_number(_arg(args, 0, 0.0)) if _arg(args, 0, UNDEFINED) is not UNDEFINED else 0)))
-    end_arg = _arg(args, 1, UNDEFINED)
-    end = int(max(0, min(len(value), to_number(end_arg)))) if end_arg is not UNDEFINED else len(value)
-    if start > end:
-        start, end = end, start
-    return value[start:end]
-
-
-def _substr(value: str, args: List[Any]) -> str:
-    start = int(to_number(_arg(args, 0, 0.0)))
-    if start < 0:
-        start = max(0, len(value) + start)
-    length_arg = _arg(args, 1, UNDEFINED)
-    length = int(to_number(length_arg)) if length_arg is not UNDEFINED else len(value)
-    return value[start : start + max(0, length)]
-
-
-def _slice_str(value: str, args: List[Any]) -> str:
-    start_arg = _arg(args, 0, UNDEFINED)
-    end_arg = _arg(args, 1, UNDEFINED)
-    start = int(to_number(start_arg)) if start_arg is not UNDEFINED else 0
-    end: Optional[int] = int(to_number(end_arg)) if end_arg is not UNDEFINED else None
-    return value[start:end]
-
-
-def _split(value: str, args: List[Any]) -> JSArray:
-    separator = _arg(args, 0, UNDEFINED)
-    if separator is UNDEFINED:
-        return JSArray([value])
-    sep = to_string(separator)
-    if sep == "":
-        return JSArray(list(value))
-    return JSArray(value.split(sep))
-
-
 def _number_property(interp: Any, value: float, name: str) -> Any:
     methods = {
         "toString": lambda i, t, a: _number_to_string(value, a),
         "valueOf": lambda i, t, a: value,
-        "toFixed": lambda i, t, a: f"{value:.{int(to_number(_arg(a, 0, 0.0)))}f}",
+        "toFixed": lambda i, t, a: (
+            f"{value:.{int(min(max(to_integer(_arg(a, 0)), 0.0), 100.0))}f}"
+            if abs(value) < 1e21 else format_number(value)
+        ),
     }
     fn = methods.get(name)
     if fn is None:
@@ -428,17 +495,15 @@ def _number_to_string(value: float, args: List[Any]) -> str:
     radix_arg = _arg(args, 0, UNDEFINED)
     if radix_arg is UNDEFINED:
         return format_number(value)
-    radix = int(to_number(radix_arg))
-    if radix == 10:
-        return format_number(value)
-    if not 2 <= radix <= 36 or math.isnan(value) or math.isinf(value):
+    radix = to_integer(radix_arg)
+    if radix == 10 or not 2 <= radix <= 36 or not math.isfinite(value):
         return format_number(value)
     integer = int(abs(value))
     digits = "0123456789abcdefghijklmnopqrstuvwxyz"
     out = []
     while integer:
-        out.append(digits[integer % radix])
-        integer //= radix
+        out.append(digits[integer % int(radix)])
+        integer //= int(radix)
     text = "".join(reversed(out)) or "0"
     return "-" + text if value < 0 else text
 
@@ -472,12 +537,18 @@ def _array_unshift(interp: Any, this: JSArray, args: List[Any]) -> float:
     return float(len(this.elements))
 
 
-def _array_join(interp: Any, this: JSArray, args: List[Any]) -> str:
-    separator = to_string(_arg(args, 0, ",")) if args else ","
-    result = separator.join(
-        "" if (el is UNDEFINED or el is None) else to_string(el) for el in this.elements
+def join_elements(elements: List[Any], args: List[Any]) -> str:
+    """``Array.prototype.join`` over ``elements``: holes, ``null`` and
+    ``undefined`` join as empty strings."""
+    separator = _arg(args, 0)
+    sep = "," if separator is UNDEFINED else to_string(separator)
+    return sep.join(
+        "" if (el is UNDEFINED or el is None) else to_string(el) for el in elements
     )
-    return interp._record_string(result)
+
+
+def _array_join(interp: Any, this: JSArray, args: List[Any]) -> str:
+    return interp._record_string(join_elements(this.elements, args))
 
 
 def _array_concat(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
@@ -491,10 +562,9 @@ def _array_concat(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
 
 
 def _array_slice(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
-    start_arg = _arg(args, 0, UNDEFINED)
-    end_arg = _arg(args, 1, UNDEFINED)
-    start = int(to_number(start_arg)) if start_arg is not UNDEFINED else 0
-    end: Optional[int] = int(to_number(end_arg)) if end_arg is not UNDEFINED else None
+    length = len(this.elements)
+    start = _relative_index(_arg(args, 0), length, 0)
+    end = _relative_index(_arg(args, 1), length, length)
     return JSArray(this.elements[start:end])
 
 
@@ -515,15 +585,8 @@ def _array_index_of(interp: Any, this: JSArray, args: List[Any]) -> float:
 
 def _array_splice(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
     length = len(this.elements)
-    start = int(to_number(_arg(args, 0, 0.0)))
-    if start < 0:
-        start = max(0, length + start)
-    start = min(start, length)
-    delete_arg = _arg(args, 1, UNDEFINED)
-    delete_count = (
-        int(to_number(delete_arg)) if delete_arg is not UNDEFINED else length - start
-    )
-    delete_count = max(0, min(delete_count, length - start))
+    start = _relative_index(_arg(args, 0), length, 0)
+    delete_count = _clamped_index(_arg(args, 1), length - start, length - start)
     removed = this.elements[start : start + delete_count]
     this.elements[start : start + delete_count] = list(args[2:])
     return JSArray(removed)

@@ -27,7 +27,6 @@ Design notes relevant to the reproduction:
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.js.errors import JSRuntimeError, ResourceLimitExceeded
@@ -36,13 +35,9 @@ from repro.js.values import (
     JSObject,
     NativeFunction,
     UNDEFINED,
+    binary_op,
     is_callable,
-    loose_equals,
-    strict_equals,
-    to_int32,
-    to_number,
     to_string,
-    to_uint32,
 )
 
 #: Strings at or above this length are reported to the host spray pool.
@@ -186,83 +181,10 @@ class Runtime:
         return value
 
     def _binary_op(self, op: str, left: Any, right: Any) -> Any:
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str) or isinstance(left, JSArray) or isinstance(right, JSArray):
-                result = to_string(left) + to_string(right)
-                return self._record_string(result)
-            return to_number(left) + to_number(right)
-        if op == "-":
-            return to_number(left) - to_number(right)
-        if op == "*":
-            return to_number(left) * to_number(right)
-        if op == "/":
-            denominator = to_number(right)
-            numerator = to_number(left)
-            if denominator == 0:
-                if math.isnan(numerator) or numerator == 0:
-                    return math.nan
-                return math.inf if (numerator > 0) == (math.copysign(1, denominator) > 0) else -math.inf
-            return numerator / denominator
-        if op == "%":
-            denominator = to_number(right)
-            numerator = to_number(left)
-            if denominator == 0 or math.isnan(denominator) or math.isnan(numerator) or math.isinf(numerator):
-                return math.nan
-            return math.fmod(numerator, denominator)
-        if op == "==":
-            return loose_equals(left, right)
-        if op == "!=":
-            return not loose_equals(left, right)
-        if op == "===":
-            return strict_equals(left, right)
-        if op == "!==":
-            return not strict_equals(left, right)
-        if op in ("<", ">", "<=", ">="):
-            if isinstance(left, str) and isinstance(right, str):
-                if op == "<":
-                    return left < right
-                if op == ">":
-                    return left > right
-                if op == "<=":
-                    return left <= right
-                return left >= right
-            number_left, number_right = to_number(left), to_number(right)
-            if math.isnan(number_left) or math.isnan(number_right):
-                return False
-            if op == "<":
-                return number_left < number_right
-            if op == ">":
-                return number_left > number_right
-            if op == "<=":
-                return number_left <= number_right
-            return number_left >= number_right
-        if op == "&":
-            return float(to_int32(left) & to_int32(right))
-        if op == "|":
-            return float(to_int32(left) | to_int32(right))
-        if op == "^":
-            return float(to_int32(left) ^ to_int32(right))
-        if op == "<<":
-            return float(to_int32(to_int32(left) << (to_uint32(right) & 31)))
-        if op == ">>":
-            return float(to_int32(left) >> (to_uint32(right) & 31))
-        if op == ">>>":
-            return float(to_uint32(left) >> (to_uint32(right) & 31))
-        if op == "instanceof":
-            if not is_callable(right):
-                raise JSRuntimeError("right side of instanceof is not callable", "TypeError")
-            proto = right.get("prototype") if isinstance(right, JSObject) else UNDEFINED
-            probe = left.prototype if isinstance(left, JSObject) else None
-            while probe is not None:
-                if probe is proto:
-                    return True
-                probe = probe.prototype
-            return False
-        if op == "in":
-            if isinstance(right, JSObject):
-                return right.has(to_string(left))
-            raise JSRuntimeError("'in' needs an object", "TypeError")
-        raise JSRuntimeError(f"unknown binary operator {op}")
+        result = binary_op(op, left, right)
+        if type(result) is str:  # only ``+`` makes strings
+            return self._record_string(result)
+        return result
 
     def _set_member_value(self, obj: Any, name: str, value: Any) -> None:
         """Property-write kernel."""

@@ -19,7 +19,10 @@ functions                 :class:`JSFunction` / :class:`NativeFunction`
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+import operator
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Union
+
+from repro.js.errors import JSRuntimeError
 
 if TYPE_CHECKING:
     from repro.js import nodes as ast
@@ -44,6 +47,9 @@ class _Undefined:
 
 
 UNDEFINED = _Undefined()
+
+#: A JS primitive value in its Python representation.
+Primitive = Union[str, float, bool, None, _Undefined]
 
 
 class JSObject:
@@ -103,7 +109,10 @@ class JSArray(JSObject):
 
     def set(self, name: str, value: Any) -> None:
         if name == "length":
-            new_len = int(value)
+            number = to_number(value)
+            if not (0 <= number < 2**32 and number == int(number)):
+                raise JSRuntimeError("invalid array length", "RangeError")
+            new_len = int(number)
             current = len(self.elements)
             if new_len < current:
                 del self.elements[new_len:]
@@ -215,6 +224,8 @@ def to_number(value: Any) -> float:
             return float(text)
         except ValueError:
             return math.nan
+        except OverflowError:  # a hex literal past the float range
+            return math.inf
     if isinstance(value, JSArray):
         if not value.elements:
             return 0.0
@@ -222,6 +233,16 @@ def to_number(value: Any) -> float:
             return to_number(value.elements[0])
         return math.nan
     return math.nan
+
+
+def to_integer(value: Any) -> float:
+    """ToIntegerOrInfinity: NaN is 0, ±Infinity stays, the rest truncates."""
+    number = to_number(value)
+    if math.isnan(number):
+        return 0.0
+    if math.isinf(number):
+        return number
+    return float(int(number))
 
 
 def to_int32(value: Any) -> int:
@@ -329,3 +350,84 @@ def strict_equals(a: Any, b: Any) -> bool:
     if a is UNDEFINED or a is None:
         return a is b
     return a is b
+
+
+_RELATIONAL: Dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def binary_op(op: str, left: Any, right: Any) -> Any:
+    """Every binary operator's value, with no interpreter attached.
+
+    The runtime's ``_binary_op`` adds heap accounting for the strings
+    ``+`` builds; the static analyser folds constants through this
+    function directly, so both agree on every operator.
+    """
+    if op == "+":
+        if isinstance(left, (str, JSArray)) or isinstance(right, (str, JSArray)):
+            return to_string(left) + to_string(right)
+        return to_number(left) + to_number(right)
+    if op == "-":
+        return to_number(left) - to_number(right)
+    if op == "*":
+        return to_number(left) * to_number(right)
+    if op == "/":
+        denominator = to_number(right)
+        numerator = to_number(left)
+        if denominator == 0:
+            if math.isnan(numerator) or numerator == 0:
+                return math.nan
+            return math.inf if (numerator > 0) == (math.copysign(1, denominator) > 0) else -math.inf
+        return numerator / denominator
+    if op == "%":
+        denominator = to_number(right)
+        numerator = to_number(left)
+        if denominator == 0 or math.isnan(denominator) or math.isnan(numerator) or math.isinf(numerator):
+            return math.nan
+        return math.fmod(numerator, denominator)
+    if op == "==":
+        return loose_equals(left, right)
+    if op == "!=":
+        return not loose_equals(left, right)
+    if op == "===":
+        return strict_equals(left, right)
+    if op == "!==":
+        return not strict_equals(left, right)
+    compare = _RELATIONAL.get(op)
+    if compare is not None:
+        # Two strings compare by code unit; anything else numerically
+        # (a NaN operand compares false, as Python's floats do).
+        if not (isinstance(left, str) and isinstance(right, str)):
+            left, right = to_number(left), to_number(right)
+        return compare(left, right)
+    if op == "&":
+        return float(to_int32(left) & to_int32(right))
+    if op == "|":
+        return float(to_int32(left) | to_int32(right))
+    if op == "^":
+        return float(to_int32(left) ^ to_int32(right))
+    if op == "<<":
+        return float(to_int32(to_int32(left) << (to_uint32(right) & 31)))
+    if op == ">>":
+        return float(to_int32(left) >> (to_uint32(right) & 31))
+    if op == ">>>":
+        return float(to_uint32(left) >> (to_uint32(right) & 31))
+    if op == "instanceof":
+        if not is_callable(right):
+            raise JSRuntimeError("right side of instanceof is not callable", "TypeError")
+        proto = right.get("prototype") if isinstance(right, JSObject) else UNDEFINED
+        probe = left.prototype if isinstance(left, JSObject) else None
+        while probe is not None:
+            if probe is proto:
+                return True
+            probe = probe.prototype
+        return False
+    if op == "in":
+        if isinstance(right, JSObject):
+            return right.has(to_string(left))
+        raise JSRuntimeError("'in' needs an object", "TypeError")
+    raise JSRuntimeError(f"unknown binary operator {op}")

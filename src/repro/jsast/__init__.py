@@ -9,17 +9,16 @@ with rule provenance plus an obfuscation score — and the document-level
 :class:`DocumentJSAnalysis` decides *benign-triage eligibility*: whether
 ``pipeline.scan`` may safely skip Phase-II runtime emulation.
 
-Triage is strictly fail-open: a parse error, an analysis crash, any
-finding at or above :data:`~repro.jsast.report.TRIAGE_SEVERITY`, a
-side-effect-capable API, or any active document content (embedded
-files, render media) sends the document to full emulation.
-
 On top of the one-shot lint pass sits the *proof tier*
 (`absint` + `rules_absint`): an abstract interpreter with a string-shape
 value lattice that peels arbitrarily many constant ``eval``/
 ``document.write`` staging layers and emits PROVEN-BENIGN /
 PROVEN-MALICIOUS verdicts, letting ``pipeline.scan`` triage in *both*
-directions.  See ``docs/STATIC_ANALYSIS.md``.
+directions.  It is the only triage authority: a script is eligible only
+when proven benign, so a parse error, an analysis crash, a SUSPICIOUS+
+finding, a side-effect API, any unresolved call or any active document
+content (embedded files, render media) sends the document to full
+emulation.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations

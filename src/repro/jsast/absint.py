@@ -18,6 +18,12 @@ lattice of :mod:`repro.jsast.lattice`:
   every call that could reach a scored host API becomes a **channel**
   fact — the absence of channels is what PROVEN-BENIGN means.
 
+Exact constants have the runtime's semantics: every constant operation
+goes through the helpers of :mod:`repro.jsast.fold`, which call the
+functions the bytecode VM runs, so a property name, ``eval`` argument
+or host-call argument computed here is the one the VM computes.
+``util.printd``/``util.printf`` are modelled as the reader runs them.
+
 The collected facts (:class:`AbsintResult`) are deliberately dumb data;
 the proof rules that turn them into verdicts live in
 :mod:`repro.jsast.rules_absint`.
@@ -35,21 +41,34 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.js import nodes as ast
+from repro.js.builtins import PURE_GLOBALS, from_char_code
 from repro.js.parser import parse
+from repro.js.values import UNDEFINED, Primitive, to_string, truthy
 from repro.jsast import lattice as lat
-from repro.jsast.fold import js_unescape
+from repro.jsast.fold import (
+    MAX_FOLD_CHARS,
+    Folded,
+    apply_binary,
+    apply_unary,
+    call_global,
+    call_method,
+    is_primitive,
+    read_member,
+)
 from repro.jsast.report import Severity
 from repro.jsast.rules import (
     EXPLOIT_CALL_SUFFIXES,
-    RULES,
     SIDE_EFFECT_COMPONENTS,
     SIDE_EFFECT_PREFIXES,
     SPRAY_LENGTH_THRESHOLD,
     RuleContext,
-    build_context,
+    RuleScan,
+    _self_appends,
     member_path,
-    side_effect_apis,
+    scan_rules,
 )
+from repro.jsast.walk import iter_child_nodes, walk
+from repro.reader.exploits import looks_malformed
 
 #: Default per-script step budget (see ``repro.limits.max_absint_steps``).
 DEFAULT_MAX_STEPS = 200_000
@@ -60,27 +79,10 @@ MAX_EVAL_DEPTH = 12
 #: Join iterations before widening kicks in.
 _MAX_JOIN_ITERS = 3
 
-#: Longest exact string the interpreter materialises (mirrors
-#: ``fold.MAX_FOLD_CHARS``); beyond it values generalise to shapes.
-MAX_EXACT_CHARS = 1 << 20
-
 #: Callees that are pure value constructors/converters — calling them
 #: reaches no scored host API and rebinds nothing.
-PURE_CALLEES: Tuple[str, ...] = (
-    "unescape",
-    "escape",
-    "parseInt",
-    "parseFloat",
-    "isNaN",
-    "isFinite",
-    "String",
-    "Number",
-    "Boolean",
-    "Array",
-    "Object",
-    "RegExp",
-    "Date",
-    "Math",
+PURE_CALLEES: Tuple[str, ...] = tuple(PURE_GLOBALS) + (
+    "Array", "Object", "RegExp", "Date", "Math",
 )
 
 #: Member-method names that re-feed code into execution.
@@ -90,8 +92,11 @@ _WRITE_METHODS = ("write", "writeln")
 #: Host APIs provably off the scored feature surface (no syscall
 #: category, no code staging, no scored side effect): calling them
 #: does not block a PROVEN-BENIGN verdict.  Deliberately tiny —
-#: ``util.printf`` is *not* here (CVE-2008-2992 reaches the exploit
-#: through it even though the call itself is unscored).
+#: ``util.printf`` is *not* here: CVE-2008-2992 reaches the exploit
+#: through it, so a printf site is harmless only when the interpreter
+#: saw it called with exact arguments the reader's own
+#: :func:`~repro.reader.exploits.looks_malformed` rejects (see
+#: ``_Interp._model_printf``).
 HARMLESS_HOST_APIS: Tuple[str, ...] = (
     "app.alert",
     "app.beep",
@@ -103,11 +108,21 @@ HARMLESS_HOST_APIS: Tuple[str, ...] = (
     "getField",  # ``this.`` is stripped by member_path
 )
 
+#: Property names whose overwrite could change what a call the
+#: analysis trusts does: the parts of the allowlisted and modelled host
+#: API paths, the pure globals, and the staging methods it peels.
+_TRUSTED_NAMES = frozenset(
+    part
+    for path in HARMLESS_HOST_APIS + ("util.printf", "String.fromCharCode")
+    for part in path.split(".")
+).union(PURE_CALLEES, _EVAL_METHODS, _WRITE_METHODS, ("document", "Function"))
+
 #: Channel kinds.
 CHANNEL_EXPLOIT = "exploit-api"
 CHANNEL_SIDE_EFFECT = "side-effect"
 CHANNEL_OPAQUE_CALL = "opaque-call"
 CHANNEL_OPAQUE_EVAL = "opaque-eval"
+CHANNEL_HOST_WRITE = "host-write"
 
 
 class AbsintBudgetExceeded(Exception):
@@ -283,8 +298,6 @@ def _walk_no_functions(node: ast.Node):
         yield current
         if _is_function(current):
             continue
-        from repro.jsast.walk import iter_child_nodes
-
         stack.extend(reversed(list(iter_child_nodes(current))))
 
 
@@ -320,6 +333,25 @@ def _expr_names(node: ast.Node) -> Set[str]:
         for current in _walk_no_functions(node)
         if isinstance(current, ast.Identifier)
     }
+
+
+def _assigned_names(root: ast.Node) -> Set[str]:
+    """Names assigned anywhere under ``root``, function bodies included
+    (assignment, ``++``/``--``, ``for-in`` targets) — any of them may
+    rebind a global or function the analysis would otherwise trust."""
+    out: Set[str] = set()
+    for node in walk(root):
+        if isinstance(node, ast.AssignmentExpression):
+            target: ast.Node = node.target
+        elif isinstance(node, ast.UpdateExpression):
+            target = node.operand
+        elif isinstance(node, ast.ForInStatement):
+            target = node.target
+        else:
+            continue
+        if isinstance(target, ast.Identifier):
+            out.add(target.name)
+    return out
 
 
 def _scope_declared(body: ast.Node) -> Tuple[Set[str], Set[str]]:
@@ -370,8 +402,6 @@ def _function_effects(program: ast.Program) -> Tuple[Set[str], bool, bool]:
     written: Set[str] = set()
     has_eval = False
     has_throw = False
-    from repro.jsast.walk import walk
-
     for node in walk(program):
         if not _is_function(node):
             continue
@@ -404,12 +434,7 @@ def _function_effects(program: ast.Program) -> Tuple[Set[str], bool, bool]:
 def _truthiness(value: lat.AbsValue) -> Optional[bool]:
     """JS truthiness when abstractly decidable, else ``None``."""
     if isinstance(value, lat.AbsConst):
-        v = value.value
-        if isinstance(v, float) and v != v:  # NaN
-            return False
-        if isinstance(v, str):
-            return bool(v)
-        return bool(v)
+        return truthy(value.value)
     rng = lat.number_range(value)
     if rng is not None:
         if rng.lo is not None and rng.lo > 0:
@@ -468,6 +493,28 @@ def _describe(value: lat.AbsValue) -> str:
     return "⊤"
 
 
+def _exact(result: Optional[Folded]) -> Optional[lat.AbsValue]:
+    """A constant operation's runtime result as an abstract value: an
+    exact constant, a string shape past the fold cap, or ``None`` when
+    the result is not a primitive."""
+    if result is None or not is_primitive(result.value):
+        return None
+    value = result.value
+    if isinstance(value, str) and len(value) > MAX_FOLD_CHARS:
+        return lat.classify_string(value)
+    return lat.AbsConst(value)
+
+
+def _consts(values: List[lat.AbsValue]) -> Optional[List[Primitive]]:
+    """The exact values, when every abstract value is a constant."""
+    out: List[Primitive] = []
+    for value in values:
+        if not isinstance(value, lat.AbsConst):
+            return None
+        out.append(value.value)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Engine: shared budget + fact sinks + layer recursion
 
@@ -476,9 +523,16 @@ class _Engine:
     def __init__(self, budget: _Budget) -> None:
         self.budget = budget
         self.result = AbsintResult()
+        #: Every layer's tree, kept alive so node ids stay unique for
+        #: the id-keyed sets below.
+        self.programs: List[ast.Program] = []
         #: Node ids of eval/export sites already processed by an interp.
         self.handled_evals: Set[int] = set()
         self.handled_exports: Set[int] = set()
+        #: ``util.printf`` call-site node ids → every abstract evaluation
+        #: so far passed exact arguments the reader does not find
+        #: malformed.
+        self.printf_sites: Dict[int, bool] = {}
         self._channel_keys: Set[Tuple[str, str, int]] = set()
 
     def channel(self, kind: str, path: str, layer: int) -> None:
@@ -488,12 +542,21 @@ class _Engine:
             self.result.channels.append(ChannelFact(kind, path, layer))
 
     def analyze_layer(
-        self, code: str, depth: int, must: bool, label: str
+        self,
+        code: str,
+        depth: int,
+        must: bool,
+        label: str,
+        program: Optional[ast.Program] = None,
+        scan: Optional[RuleScan] = None,
     ) -> Tuple[Optional[Set[str]], bool]:
         """Parse and abstractly run one script layer.
 
-        Returns ``(written_names, may_abort)``; ``written_names`` is
-        ``None`` when the caller must havoc everything (depth cap).
+        ``program`` and ``scan`` are the layer's parse and rule pass
+        when the caller already made them (the document script's layer
+        0); otherwise the layer is parsed and scanned here.  Returns
+        ``(written_names, may_abort)``; ``written_names`` is ``None``
+        when the caller must havoc everything (depth cap).
         """
         self.budget.tick(max(1, len(code) // 32))
         if depth > MAX_EVAL_DEPTH:
@@ -503,14 +566,19 @@ class _Engine:
             return None, True
         layer = EvalLayer(label=label, depth=depth, must=must)
         self.result.layers.append(layer)
-        try:
-            program = parse(code)
-        except Exception as exc:  # noqa: BLE001 - fail-open per layer
-            layer.parse_error = f"{type(exc).__name__}: {exc}"
-            # A syntax error in eval'd code throws at runtime: the code
-            # never runs (no writes) and the caller may abort.
-            return set(), True
-        ctx = self._classic_scan(code, program, layer)
+        if program is None:
+            try:
+                program = parse(code)
+            except Exception as exc:  # noqa: BLE001 - fail-open per layer
+                layer.parse_error = f"{type(exc).__name__}: {exc}"
+                # A syntax error in eval'd code throws at runtime: the
+                # code never runs (no writes) and the caller may abort.
+                return set(), True
+        self.programs.append(program)
+        if scan is None:
+            scan = scan_rules(code, program)
+        _record_classic(scan, layer)
+        ctx = scan.ctx
 
         interp = _Interp(self, program, depth, label)
         interp.must = must
@@ -539,39 +607,22 @@ class _Engine:
             }
         return interp.written, interp.aborted or _may_abort(program)
 
-    def _classic_scan(
-        self, code: str, program: ast.Program, layer: EvalLayer
-    ) -> Optional[RuleContext]:
-        """Run the classic rule registry over the layer, recording the
-        SUSPICIOUS+ rules that block a benign proof.
 
-        ``eval-computed-string`` is excluded: the interpreter supersedes
-        it by peeling const layers itself and channeling opaque ones.
-        """
-        try:
-            ctx = build_context(code, program)
-        except Exception:  # noqa: BLE001 - fail-open
-            layer.blocking_rules.append("analysis-error")
-            return None
-        for rule_id, rule_fn in RULES.items():
-            try:
-                findings = list(rule_fn(ctx))
-            except Exception:  # noqa: BLE001 - one broken rule
-                if "analysis-error" not in layer.blocking_rules:
-                    layer.blocking_rules.append("analysis-error")
-                continue
-            for finding in findings:
-                if (
-                    finding.severity >= Severity.SUSPICIOUS
-                    and finding.rule != "eval-computed-string"
-                    and finding.rule not in layer.blocking_rules
-                ):
-                    layer.blocking_rules.append(finding.rule)
-        try:
-            layer.side_effect_apis = side_effect_apis(ctx)
-        except Exception:  # noqa: BLE001 - fail-open: assume side effects
-            layer.side_effect_apis = ["<analysis-error>"]
-        return ctx
+def _record_classic(scan: RuleScan, layer: EvalLayer) -> None:
+    """Record the layer's SUSPICIOUS+ classic findings (those block a
+    benign proof) and its side-effect APIs.
+
+    ``eval-computed-string`` is excluded: the interpreter supersedes it
+    by peeling const layers itself and channeling opaque ones.
+    """
+    for finding in scan.findings:
+        if (
+            finding.severity >= Severity.SUSPICIOUS
+            and finding.rule != "eval-computed-string"
+            and finding.rule not in layer.blocking_rules
+        ):
+            layer.blocking_rules.append(finding.rule)
+    layer.side_effect_apis = list(scan.side_effect_apis)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +659,10 @@ class _Interp:
         #: function bodies) — used for eval-shadowing checks.
         var_names, func_names = _scope_declared(program)
         self.declared = var_names | func_names
-        self.declared_funcs = func_names
+        #: Names assigned anywhere in the layer, function bodies
+        #: included: they may hold something other than the global.
+        self.assigned = _assigned_names(program)
+        self.declared_funcs = func_names - self.assigned
         (
             self.func_written,
             self.func_has_eval,
@@ -627,6 +681,12 @@ class _Interp:
     @property
     def must_now(self) -> bool:
         return self.must and not self.aborted and not self.diverged
+
+    def binds(self, name: str) -> bool:
+        """Could ``name`` hold something other than the host's global of
+        that name?  Declared or assigned by this layer, or written by a
+        layer it ran (a peeled ``eval``)."""
+        return name in self.declared or name in self.assigned or name in self.tainted
 
     # -- environment -----------------------------------------------------
 
@@ -675,10 +735,9 @@ class _Interp:
                 value = (
                     self.eval_expr(init)
                     if init is not None
-                    else lat.AbsConst(None)
+                    else lat.AbsConst(UNDEFINED)
                 )
                 self.assign(name, value)
-                self._note_sled_assign(name, value)
         elif isinstance(node, ast.ExpressionStatement):
             self.eval_expr(node.expression)
         elif isinstance(node, ast.IfStatement):
@@ -980,8 +1039,6 @@ class _Interp:
             return False
         if _contains_abrupt(node.body) or _written_names(node.body) != {grown}:
             return False
-        from repro.jsast.rules import _self_appends
-
         if not _self_appends(node.body, grown):
             return False
         entry_len = lat.length_of(entry_env.get(grown, lat.TOP))
@@ -1036,8 +1093,10 @@ class _Interp:
             return lat.AbsConst(node.value)
         if isinstance(node, ast.BooleanLiteral):
             return lat.AbsConst(node.value)
-        if isinstance(node, (ast.NullLiteral, ast.UndefinedLiteral)):
+        if isinstance(node, ast.NullLiteral):
             return lat.AbsConst(None)
+        if isinstance(node, ast.UndefinedLiteral):
+            return lat.AbsConst(UNDEFINED)
         if isinstance(node, ast.ThisExpression):
             return lat.TOP
         if isinstance(node, ast.Identifier):
@@ -1065,7 +1124,7 @@ class _Interp:
         if isinstance(node, ast.AssignmentExpression):
             return self._eval_assignment(node)
         if isinstance(node, ast.SequenceExpression):
-            value: lat.AbsValue = lat.AbsConst(None)
+            value: lat.AbsValue = lat.AbsConst(UNDEFINED)
             for expression in node.expressions:
                 value = self.eval_expr(expression)
             return value
@@ -1077,6 +1136,10 @@ class _Interp:
 
     def _eval_unary(self, node: ast.UnaryExpression) -> lat.AbsValue:
         operand = self.eval_expr(node.operand)
+        if isinstance(operand, lat.AbsConst):
+            exact = _exact(apply_unary(node.op, operand.value))
+            if exact is not None:
+                return exact
         if node.op in ("-", "+"):
             rng = lat.number_range(operand)
             if rng is None:
@@ -1090,7 +1153,7 @@ class _Interp:
             taken = _truthiness(operand)
             return lat.AbsConst(not taken) if taken is not None else lat.TOP
         if node.op == "void":
-            return lat.AbsConst(None)
+            return lat.AbsConst(UNDEFINED)
         if node.op == "typeof":
             return lat.AbsStr(lat.SHAPE_TEXT, lat.Interval(0.0, 16.0))
         return lat.TOP
@@ -1118,32 +1181,19 @@ class _Interp:
     def _binary_value(
         self, op: str, left: lat.AbsValue, right: lat.AbsValue
     ) -> lat.AbsValue:
-        if op == "+":
-            return self._abstract_add(left, right)
+        if isinstance(left, lat.AbsConst) and isinstance(right, lat.AbsConst):
+            exact = _exact(apply_binary(op, left.value, right.value))
+            if exact is not None:
+                return exact
         lrng = lat.number_range(left)
         rrng = lat.number_range(right)
+        if op == "+":
+            if lrng is not None and rrng is not None:
+                return lat.AbsNum(lrng.add(rrng))
+            if lat.as_str_shape(left) is not None or lat.as_str_shape(right) is not None:
+                return lat.concat(left, right)
+            return lat.TOP
         if op in ("-", "*", "/", "%"):
-            if (
-                isinstance(left, lat.AbsConst)
-                and isinstance(right, lat.AbsConst)
-                and lrng is not None
-                and rrng is not None
-                and lrng.exact_value is not None
-                and rrng.exact_value is not None
-            ):
-                a, b = lrng.exact_value, rrng.exact_value
-                try:
-                    if op == "-":
-                        return lat.AbsConst(a - b)
-                    if op == "*":
-                        return lat.AbsConst(a * b)
-                    if op == "/" and b != 0:
-                        return lat.AbsConst(a / b)
-                    if op == "%" and b != 0:
-                        return lat.AbsConst(math.fmod(a, b))
-                except (OverflowError, ValueError):
-                    return lat.TOP
-                return lat.TOP
             if lrng is not None and rrng is not None:
                 if op == "-":
                     neg = lat.Interval(
@@ -1167,48 +1217,6 @@ class _Interp:
                     if a.lo > b.hi or (strict and a.lo >= b.hi):
                         return lat.AbsConst(False)
             return lat.TOP
-        if op in ("==", "===", "!=", "!=="):
-            if isinstance(left, lat.AbsConst) and isinstance(
-                right, lat.AbsConst
-            ):
-                equal = left.value == right.value and type(left.value) is type(
-                    right.value
-                )
-                return lat.AbsConst(
-                    equal if op in ("==", "===") else not equal
-                )
-            return lat.TOP
-        return lat.TOP
-
-    def _abstract_add(
-        self, left: lat.AbsValue, right: lat.AbsValue
-    ) -> lat.AbsValue:
-        if isinstance(left, lat.AbsConst) and isinstance(right, lat.AbsConst):
-            lv, rv = left.value, right.value
-            if isinstance(lv, str) or isinstance(rv, str):
-                a, b = _js_text(lv), _js_text(rv)
-                if len(a) + len(b) <= MAX_EXACT_CHARS:
-                    return lat.AbsConst(a + b)
-                sa, sb = lat.classify_string(a), lat.classify_string(b)
-                return lat.concat(sa, sb)
-            lrng, rrng = lat.number_range(left), lat.number_range(right)
-            if lrng is not None and rrng is not None:
-                if (
-                    lrng.exact_value is not None
-                    and rrng.exact_value is not None
-                ):
-                    return lat.AbsConst(lrng.exact_value + rrng.exact_value)
-            return lat.TOP
-        # Numeric addition when both sides are numeric.
-        lrng, rrng = lat.number_range(left), lat.number_range(right)
-        if lrng is not None and rrng is not None:
-            return lat.AbsNum(lrng.add(rrng))
-        # String-ish concatenation otherwise.
-        if (
-            lat.as_str_shape(left) is not None
-            or lat.as_str_shape(right) is not None
-        ):
-            return lat.concat(left, right)
         return lat.TOP
 
     def _eval_logical(self, node: ast.LogicalExpression) -> lat.AbsValue:
@@ -1258,7 +1266,6 @@ class _Interp:
                 old = self.lookup(target.name)
                 value = self._binary_value(node.op[:-1], old, value)
             self.assign(target.name, value)
-            self._note_sled_assign(target.name, value)
             return value
         if isinstance(target, ast.MemberExpression):
             obj = self.eval_expr(target.obj)
@@ -1273,11 +1280,6 @@ class _Interp:
                 self._record_fill(target.obj.name, value)
             return value
         return value
-
-    def _note_sled_assign(self, name: str, value: lat.AbsValue) -> None:
-        # End-of-layer env scanning catches surviving sleds; nothing to
-        # do eagerly, but keep the hook for symmetry/debugging.
-        return None
 
     def _record_fill(self, array: str, value: lat.AbsValue) -> None:
         """A ``m[e] = value`` store on a local array inside a loop."""
@@ -1317,19 +1319,10 @@ class _Interp:
             if shape is not None:
                 return lat.AbsNum(lat.length_of(obj))
             return lat.AbsNum(lat.NONNEG) if obj is lat.LOCAL_OBJ else lat.TOP
-        if node.computed:
-            index = self.eval_expr(node.prop)
-            if (
-                isinstance(obj, lat.AbsConst)
-                and isinstance(obj.value, str)
-                and isinstance(index, lat.AbsConst)
-            ):
-                rng = lat.number_range(index)
-                if rng is not None and rng.exact_value is not None:
-                    i = int(rng.exact_value)
-                    if 0 <= i < len(obj.value):
-                        return lat.AbsConst(obj.value[i])
-                    return lat.AbsConst(None)
+        if name is not None and isinstance(obj, lat.AbsConst):
+            exact = _exact(read_member(obj.value, name))
+            if exact is not None:
+                return exact
         return lat.TOP
 
     # -- calls -----------------------------------------------------------
@@ -1357,11 +1350,11 @@ class _Interp:
             bound is None and name in self.declared_funcs
         ):
             return self._call_user_function(arguments)
-        if name not in self.declared:
+        if not self.binds(name):
             if name == "eval":
                 args = [self.eval_expr(a) for a in arguments]
                 if not args:
-                    return lat.AbsConst(None)
+                    return lat.AbsConst(UNDEFINED)
                 return self._eval_site(node, args[-1], "eval")
             if name == "Function":
                 args = [self.eval_expr(a) for a in arguments]
@@ -1396,27 +1389,17 @@ class _Interp:
         self, name: str, arguments: List[ast.Node]
     ) -> lat.AbsValue:
         args = [self.eval_expr(a) for a in arguments]
-        first = args[0] if args else lat.AbsConst(None)
-        if name == "unescape":
-            if isinstance(first, lat.AbsConst) and isinstance(
-                first.value, str
-            ):
-                try:
-                    return lat.AbsConst(js_unescape(first.value))
-                except Exception:  # noqa: BLE001 - hostile escape data
-                    return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
-            return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
-        if name == "escape":
+        consts = _consts(args)
+        if consts is not None:
+            exact = _exact(call_global(name, consts))
+            if exact is not None:
+                return exact
+        first = args[0] if args else lat.AbsConst(UNDEFINED)
+        if name in ("unescape", "escape"):
             return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
         if name in ("parseInt", "parseFloat", "Number"):
-            if isinstance(first, lat.AbsConst):
-                parsed = _parse_number(name, first.value, args)
-                if parsed is not None:
-                    return lat.AbsConst(parsed)
             return lat.AbsNum(lat.Interval.top())
         if name == "String":
-            if isinstance(first, lat.AbsConst):
-                return lat.AbsConst(_js_text(first.value))
             shape = lat.as_str_shape(first)
             return shape if shape is not None else lat.AbsStr(
                 lat.SHAPE_TEXT, lat.NONNEG
@@ -1426,8 +1409,6 @@ class _Interp:
             return lat.AbsConst(taken) if taken is not None else lat.TOP
         if name in ("Array", "Object"):
             return lat.LOCAL_OBJ
-        if name in ("isNaN", "isFinite"):
-            return lat.TOP
         return lat.TOP
 
     def _call_member(
@@ -1445,9 +1426,16 @@ class _Interp:
             method == "fromCharCode"
             and isinstance(callee.obj, ast.Identifier)
             and callee.obj.name == "String"
-            and "String" not in self.declared
+            and not self.binds("String")
         ):
-            return _from_char_code(args)
+            consts = _consts(args)
+            if consts is not None:
+                exact = _exact(Folded(from_char_code(consts)))
+                if exact is not None:
+                    return exact
+            return lat.AbsStr(
+                lat.SHAPE_TEXT, lat.Interval.exact(float(len(args)))
+            )
 
         # Methods on known-local values (strings, arrays, consts).
         if lat.as_str_shape(receiver) is not None and method is not None:
@@ -1479,9 +1467,13 @@ class _Interp:
             ):
                 if args:
                     return self._eval_site(node, args[-1], path)
-                return lat.AbsConst(None)
+                return lat.AbsConst(UNDEFINED)
             if last == "exportDataObject":
                 self._record_export(node, path, arguments)
+            if path == "util.printd":
+                return self._model_printd(args)
+            if path == "util.printf":
+                self._model_printf(node, args)
             # Resolved host API call: returns an unknown value, rebinds
             # nothing (runtime model) — channels are the walker's job.
             return lat.TOP
@@ -1496,23 +1488,11 @@ class _Interp:
         method: str,
         args: List[lat.AbsValue],
     ) -> lat.AbsValue:
-        exact = (
-            receiver.value
-            if isinstance(receiver, lat.AbsConst)
-            and isinstance(receiver.value, str)
-            else None
-        )
-        const_args: Optional[List[lat.Const]] = []
-        for arg in args:
-            if isinstance(arg, lat.AbsConst):
-                const_args.append(arg.value)
-            else:
-                const_args = None
-                break
-        if exact is not None and const_args is not None:
-            folded = _fold_string_method(exact, method, const_args)
-            if folded is not None:
-                return folded
+        consts = _consts(args)
+        if isinstance(receiver, lat.AbsConst) and consts is not None:
+            exact = _exact(call_method(receiver.value, method, consts))
+            if exact is not None:
+                return exact
         # Abstract prefix slicing: substring/substr/slice from 0.
         if method in ("substring", "substr", "slice"):
             start = lat.number_range(args[0]) if args else lat.ZERO
@@ -1535,7 +1515,7 @@ class _Interp:
         if method == "concat":
             value: lat.AbsValue = receiver
             for arg in args:
-                value = self._abstract_add(value, arg)
+                value = self._binary_value("+", value, arg)
             return value
         if method in ("toLowerCase", "toUpperCase", "replace", "split"):
             return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
@@ -1546,14 +1526,14 @@ class _Interp:
         return lat.TOP
 
     def _prop_name(self, member: ast.MemberExpression) -> Optional[str]:
+        """The property name as the VM computes it (``to_string`` of a
+        computed key), when it is a constant."""
         if not member.computed and isinstance(member.prop, ast.Identifier):
             return member.prop.name
         if member.computed:
             value = self.eval_expr(member.prop)
-            if isinstance(value, lat.AbsConst) and isinstance(
-                value.value, str
-            ):
-                return value.value
+            if isinstance(value, lat.AbsConst):
+                return to_string(value.value)
         return None
 
     def _abs_member_path(
@@ -1570,13 +1550,35 @@ class _Interp:
             parts.append(name)
             current = current.obj
         if isinstance(current, ast.Identifier):
-            if current.name in self.declared or current.name in self.env:
+            if self.binds(current.name) or current.name in self.env:
                 return None
             parts.append(current.name)
         elif not isinstance(current, ast.ThisExpression):
             return None
         parts.reverse()
         return ".".join(parts)
+
+    def _model_printd(self, args: List[lat.AbsValue]) -> lat.AbsValue:
+        """``util.printd(format, date)``: the reader returns the string
+        of its second argument."""
+        date = args[1] if len(args) > 1 else lat.AbsConst("")
+        if isinstance(date, lat.AbsConst):
+            return lat.AbsConst(to_string(date.value))
+        shape = lat.as_str_shape(date)
+        return shape if shape is not None else lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
+
+    def _model_printf(self, node: ast.Node, args: List[lat.AbsValue]) -> None:
+        """Note whether this evaluation of a ``util.printf`` site is
+        harmless: exact arguments that the reader's own exploit test
+        rejects, applied to the argument list the reader passes it."""
+        consts = _consts(args)
+        harmless = False
+        if consts is not None:
+            passed: List[object] = [to_string(consts[0] if consts else "")]
+            passed.extend(consts[1:])
+            harmless = not looks_malformed(passed)
+        sites = self.engine.printf_sites
+        sites[id(node)] = sites.get(id(node), True) and harmless
 
     def _record_export(
         self, node: ast.Node, path: str, arguments: List[ast.Node]
@@ -1645,131 +1647,6 @@ class _Interp:
         return lat.TOP
 
 
-def _js_text(value: lat.Const) -> str:
-    """JS ToString for constants (inf/NaN-safe)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        if value == int(value) and abs(value) < 1e21:
-            return str(int(value))
-        return repr(value)
-    return str(value)
-
-
-def _parse_number(
-    name: str, value: lat.Const, args: List[lat.AbsValue]
-) -> Optional[float]:
-    if not isinstance(value, str):
-        if name == "Number" and isinstance(value, (bool, float)):
-            return float(value)
-        return None
-    text = value.strip()
-    try:
-        if name == "parseInt":
-            base = 10
-            if len(args) > 1 and isinstance(args[1], lat.AbsConst):
-                rng = lat.number_range(args[1])
-                if rng is not None and rng.exact_value is not None:
-                    candidate = rng.exact_value
-                    if math.isfinite(candidate):
-                        base = int(candidate) or 10
-            if not (2 <= base <= 36):
-                return None
-            return float(int(text, base))
-        return float(text)
-    except (ValueError, TypeError, OverflowError):
-        return None
-
-
-def _from_char_code(args: List[lat.AbsValue]) -> lat.AbsValue:
-    chars: List[str] = []
-    for arg in args:
-        rng = lat.number_range(arg)
-        if rng is None or rng.exact_value is None:
-            return lat.AbsStr(
-                lat.SHAPE_TEXT, lat.Interval.exact(float(len(args)))
-            )
-        code = rng.exact_value
-        if not math.isfinite(code):
-            return lat.AbsStr(
-                lat.SHAPE_TEXT, lat.Interval.exact(float(len(args)))
-            )
-        chars.append(chr(int(code) & 0xFFFF))
-    return lat.AbsConst("".join(chars))
-
-
-def _fold_string_method(
-    text: str, method: str, args: List[lat.Const]
-) -> Optional[lat.AbsValue]:
-    """Exact string-method folding on a constant receiver (never
-    raises; hostile arguments yield ``None`` → abstract fallback)."""
-    try:
-        if method in ("substr", "substring", "slice"):
-            start = int(_num_or(args[0], 0.0)) if args else 0
-            if method == "substr":
-                length = (
-                    int(_num_or(args[1], float(len(text))))
-                    if len(args) > 1
-                    else len(text)
-                )
-                start = max(0, start if start >= 0 else len(text) + start)
-                return lat.AbsConst(text[start : start + max(0, length)])
-            end = (
-                int(_num_or(args[1], float(len(text))))
-                if len(args) > 1
-                else len(text)
-            )
-            if method == "slice":
-                if start < 0:
-                    start = max(0, len(text) + start)
-                if end < 0:
-                    end = max(0, len(text) + end)
-                return lat.AbsConst(text[start:end])
-            return lat.AbsConst(text[max(0, start) : max(0, end)])
-        if method == "charAt":
-            i = int(_num_or(args[0], 0.0)) if args else 0
-            return lat.AbsConst(text[i] if 0 <= i < len(text) else "")
-        if method == "charCodeAt":
-            i = int(_num_or(args[0], 0.0)) if args else 0
-            if 0 <= i < len(text):
-                return lat.AbsConst(float(ord(text[i])))
-            return lat.AbsConst(float("nan"))
-        if method == "concat":
-            joined = text + "".join(_js_text(a) for a in args)
-            if len(joined) <= MAX_EXACT_CHARS:
-                return lat.AbsConst(joined)
-            return None
-        if method == "toLowerCase" and not args:
-            return lat.AbsConst(text.lower())
-        if method == "toUpperCase" and not args:
-            return lat.AbsConst(text.upper())
-        if method == "replace" and len(args) == 2:
-            if isinstance(args[0], str) and isinstance(args[1], str):
-                return lat.AbsConst(text.replace(args[0], args[1], 1))
-    except (IndexError, ValueError, TypeError, OverflowError):
-        return None
-    return None
-
-
-def _num_or(value: lat.Const, default: float) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float) and math.isfinite(value):
-        return value
-    if isinstance(value, str):
-        try:
-            return float(value.strip() or "0")
-        except ValueError:
-            return default
-    return default
-
-
 # ---------------------------------------------------------------------------
 # Channel walker: every call site the interpreter did not prove harmless
 # becomes a *channel* — a way the abstraction could be escaped.  The
@@ -1794,39 +1671,46 @@ class _ChannelWalker:
         self.depth = depth
         self.label = label
         self.ctx = ctx
+        #: Layer-level names that may not hold the host's global.
+        self.bound = interp.declared | interp.assigned | interp.tainted
 
     def run(self) -> None:
-        mask = set(self.interp.declared)
         local_funcs = set(self.interp.declared_funcs)
         for node in self.program.body:
-            self._visit(node, mask, local_funcs)
+            self._visit(node, set(), local_funcs)
 
     def _visit(
-        self, node: ast.Node, mask: Set[str], local_funcs: Set[str]
+        self, node: ast.Node, inner: Set[str], local_funcs: Set[str]
     ) -> None:
+        """``inner``: names bound by the enclosing function scopes;
+        ``local_funcs``: names that provably call a layer function."""
         self.engine.budget.tick()
         if _is_function(node):
             body = node.body  # type: ignore[attr-defined]
             params = node.params  # type: ignore[attr-defined]
             var_names, func_names = _scope_declared(body)
-            inner_mask = mask | set(params) | var_names | func_names
+            shadowed = set(params) | var_names
             name = getattr(node, "name", None)
             if isinstance(node, ast.FunctionExpression) and name:
-                inner_mask.add(name)
-            inner_funcs = local_funcs | func_names
-            self._visit(body, inner_mask, inner_funcs)
+                shadowed.add(name)
+            inner_funcs = (local_funcs - shadowed) | (
+                func_names - _assigned_names(body)
+            )
+            self._visit(body, inner | shadowed | func_names, inner_funcs)
             return
         if isinstance(node, (ast.CallExpression, ast.NewExpression)):
-            self._classify_call(node, mask, local_funcs)
-        from repro.jsast.walk import iter_child_nodes
-
+            self._classify_call(node, inner, local_funcs)
+        elif isinstance(node, ast.AssignmentExpression) and isinstance(
+            node.target, ast.MemberExpression
+        ):
+            self._classify_member_write(node.target, inner)
         for child in iter_child_nodes(node):
-            self._visit(child, mask, local_funcs)
+            self._visit(child, inner, local_funcs)
 
     # -- classification --------------------------------------------------
 
     def _classify_call(
-        self, node: ast.Node, mask: Set[str], local_funcs: Set[str]
+        self, node: ast.Node, inner: Set[str], local_funcs: Set[str]
     ) -> None:
         if id(node) in self.engine.handled_evals:
             return
@@ -1836,11 +1720,11 @@ class _ChannelWalker:
             name = callee.name
             if name in local_funcs:
                 return
-            if name in mask:
+            if name in inner or name in self.bound:
                 # Calling a local variable: harmless only if it provably
                 # holds a layer-local function.
                 bound = self.interp.env.get(name)
-                if isinstance(bound, lat.AbsFunc):
+                if isinstance(bound, lat.AbsFunc) and self._holds_local(name, inner):
                     return
                 self.engine.channel(
                     CHANNEL_OPAQUE_CALL, name, self.depth
@@ -1857,7 +1741,7 @@ class _ChannelWalker:
             self.engine.channel(CHANNEL_OPAQUE_CALL, name, self.depth)
             return
         if isinstance(callee, ast.MemberExpression):
-            self._classify_member_call(node, callee, arguments, mask)
+            self._classify_member_call(node, callee, arguments, inner)
             return
         # Computed callee expression — opaque by construction.
         self.engine.channel(CHANNEL_OPAQUE_CALL, "<computed>", self.depth)
@@ -1867,13 +1751,15 @@ class _ChannelWalker:
         node: ast.Node,
         callee: ast.MemberExpression,
         arguments: List[ast.Node],
-        mask: Set[str],
+        inner: Set[str],
     ) -> None:
         method = self._method_name(callee)
         root = callee.obj
         while isinstance(root, ast.MemberExpression):
             root = root.obj
-        root_local = isinstance(root, ast.Identifier) and root.name in mask
+        root_local = isinstance(root, ast.Identifier) and (
+            root.name in inner or root.name in self.bound
+        )
 
         if method is None:
             self.engine.channel(
@@ -1883,18 +1769,7 @@ class _ChannelWalker:
 
         if root_local:
             assert isinstance(root, ast.Identifier)
-            bound = self.interp.env.get(root.name)
-            if bound is not None and not isinstance(bound, lat.AbsFunc):
-                # Known layer-local value (string/number/array/object):
-                # its methods cannot reach a host API.
-                return
-            if (
-                root.name in self.interp.declared
-                and root.name not in self.interp.tainted
-            ):
-                # Declared and only ever assigned provably-local values
-                # (a join may have dropped it from the env, but it can
-                # never alias a host object).
+            if self._holds_local(root.name, inner):
                 return
             self.engine.channel(
                 CHANNEL_OPAQUE_CALL, f"{root.name}.{method}", self.depth
@@ -1915,6 +1790,8 @@ class _ChannelWalker:
             return
         if path in HARMLESS_HOST_APIS:
             return
+        if path == "util.printf" and self.engine.printf_sites.get(id(node)):
+            return
         if any(
             _suffix_matches(path, suffix) for suffix in EXPLOIT_CALL_SUFFIXES
         ):
@@ -1930,6 +1807,35 @@ class _ChannelWalker:
         # Any other host-object call is an opaque channel: we cannot
         # prove it stays off the scored API surface.
         self.engine.channel(CHANNEL_OPAQUE_CALL, path, self.depth)
+
+    def _holds_local(self, name: str, inner: Set[str]) -> bool:
+        """Does ``name`` provably hold a layer-local value, never a host
+        object, wherever the layer uses it?  Only a layer-level declared
+        name that was never assigned an unknown value: the walk is
+        flow-insensitive, so a value bound at the end (``o = {}`` after
+        ``o.request(...)`` on ``o = SOAP``) proves nothing, an
+        undeclared name starts out as the host's global, and a function
+        parameter or local can hold anything."""
+        return (
+            name not in inner
+            and name in self.interp.declared
+            and name not in self.interp.tainted
+        )
+
+    def _classify_member_write(
+        self, target: ast.MemberExpression, inner: Set[str]
+    ) -> None:
+        """A property write that may overwrite a host API the analysis
+        trusts (``util.printd = eval``) is a channel; writes into
+        layer-local objects and to untrusted names are not."""
+        obj = target.obj
+        if isinstance(obj, ast.Identifier) and self._holds_local(obj.name, inner):
+            return
+        name = self._method_name(target)
+        if name is None or name in _TRUSTED_NAMES:
+            self.engine.channel(
+                CHANNEL_HOST_WRITE, f"<write>.{name or '<computed>'}", self.depth
+            )
 
     def _peel_or_channel(
         self, node: ast.Node, arguments: List[ast.Node], path: str
@@ -1980,18 +1886,23 @@ def interpret_script(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     label: str = "script",
+    program: Optional[ast.Program] = None,
+    scan: Optional[RuleScan] = None,
 ) -> AbsintResult:
     """Abstractly interpret ``code`` and every constant layer it stages.
 
-    Raises :class:`AbsintBudgetExceeded` only internally — budget
-    exhaustion is reported via ``status == "budget-exhausted"``.  Other
-    exceptions propagate; :func:`repro.jsast.rules_absint.run_absint`
-    wraps this with a never-raises guarantee.
+    ``program``/``scan`` hand over a parse and rule pass of ``code``
+    the caller already made, so the document script is parsed and
+    linted once.  Raises :class:`AbsintBudgetExceeded` only internally
+    — budget exhaustion is reported via ``status ==
+    "budget-exhausted"``.  Other exceptions propagate;
+    :func:`repro.jsast.rules_absint.run_absint` wraps this with a
+    never-raises guarantee.
     """
     budget = _Budget(max_steps)
     engine = _Engine(budget)
     try:
-        engine.analyze_layer(code, 0, True, label)
+        engine.analyze_layer(code, 0, True, label, program, scan)
     except AbsintBudgetExceeded:
         engine.result.status = "budget-exhausted"
     engine.result.steps = budget.steps

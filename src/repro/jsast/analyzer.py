@@ -1,10 +1,11 @@
 """Script- and document-level static analysis drivers.
 
-:func:`analyze_script` takes one JavaScript source string through
-parse → constant fold → rule registry and returns a
-:class:`~repro.jsast.report.JSStaticReport`.  Constant ``eval``
-arguments get one more layer of the same treatment, with findings
-re-labelled ``eval:<rule>`` so provenance survives.
+:func:`analyze_script` parses one JavaScript source string once, runs
+the constant folder and the rule registry over it once, and hands that
+parse and rule pass to the abstract interpreter as its top layer; the
+result is a :class:`~repro.jsast.report.JSStaticReport`.  Constant
+``eval`` arguments get one more layer of the rule treatment, with
+findings re-labelled ``eval:<rule>`` so provenance survives.
 
 :func:`analyze_document` runs every JavaScript chain of a parsed PDF
 through :func:`analyze_script` and adds *document-level guards*:
@@ -14,8 +15,8 @@ regardless of how clean its scripts look.
 
 Everything here is fail-open by construction: an exception anywhere in
 parsing or analysis becomes an ``unparseable-js`` / ``analysis-error``
-finding (never escapes to the caller), and such reports are never
-triage-eligible.
+finding (never escapes to the caller), and only a script the proof
+tier proved benign is triage-eligible.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro import obs as obs_mod
+from repro.js import nodes as ast
 from repro.js.errors import JSSyntaxError
 from repro.js.parser import parse
 from repro.jsast.report import Finding, JSStaticReport, Severity
-from repro.jsast.rules import (
-    RULES,
-    build_context,
-    ruleset_version,
-    side_effect_apis,
-)
+from repro.jsast.rules import RuleScan, ruleset_version, scan_rules
 from repro.obs import profile as profile_mod
 
 #: How many layers of constant ``eval`` arguments to follow.
@@ -79,10 +76,9 @@ def analyze_script(
                 )
             )
         else:
-            _run_rules(code, program, report, label, obs, _depth)
-
-        if _depth == 0 and report.parse_error is None:
-            _run_absint(code, report, label, obs)
+            scan = _run_rules(code, program, report, label, obs, _depth)
+            if _depth == 0 and report.parse_error is None:
+                _run_absint(code, program, scan, report, label, obs)
 
         report.obfuscation_score = min(
             10.0, sum(f.score for f in report.findings)
@@ -100,17 +96,20 @@ def analyze_script(
 
 def _run_absint(
     code: str,
+    program: ast.Program,
+    scan: RuleScan,
     report: JSStaticReport,
     label: str,
     obs: obs_mod.Observability,
 ) -> None:
-    """Run the abstract-interpretation proof tier (depth 0 only — it
-    peels nested layers itself).  Never raises."""
+    """Run the abstract-interpretation proof tier on the script's own
+    parse and rule pass (depth 0 only — it peels nested layers
+    itself).  Never raises."""
     from repro.jsast.rules_absint import proof_findings, run_absint
 
     with obs.tracer.span("jsast.absint", script=label) as span:
         with profile_mod.phase("absint"):
-            section = run_absint(code, label=label)
+            section = run_absint(code, label=label, program=program, scan=scan)
         report.absint = section
         report.findings.extend(proof_findings(section))
         span.set_tag("verdict", section.get("verdict", "unknown"))
@@ -124,48 +123,22 @@ def _run_absint(
 
 def _run_rules(
     code: str,
-    program,
+    program: ast.Program,
     report: JSStaticReport,
     label: str,
     obs: obs_mod.Observability,
     depth: int,
-) -> None:
+) -> RuleScan:
     """Fold, run every registered rule, then follow constant evals."""
-    try:
-        ctx = build_context(code, program)
-    except Exception as exc:  # noqa: BLE001 - fail-open
-        report.parse_error = f"analysis error: {type(exc).__name__}: {exc}"
-        report.findings.append(
-            Finding(
-                rule="analysis-error",
-                severity=Severity.SUSPICIOUS,
-                message=f"constant folding crashed: {type(exc).__name__}",
-                score=1.0,
-            )
-        )
-        return
-
-    for rule_id, rule_fn in RULES.items():
-        try:
-            report.findings.extend(rule_fn(ctx))
-        except Exception as exc:  # noqa: BLE001 - one broken rule
-            # must not silence the rest, and must not grant triage.
-            report.findings.append(
-                Finding(
-                    rule="analysis-error",
-                    severity=Severity.SUSPICIOUS,
-                    message=f"rule {rule_id!r} crashed: {type(exc).__name__}",
-                    score=1.0,
-                )
-            )
-
-    try:
-        report.side_effect_apis = side_effect_apis(ctx)
-    except Exception:  # noqa: BLE001 - fail-open: assume side effects
-        report.side_effect_apis = ["<analysis-error>"]
+    scan = scan_rules(code, program)
+    report.findings.extend(scan.findings)
+    report.side_effect_apis = list(scan.side_effect_apis)
+    if scan.ctx is None:
+        report.parse_error = f"analysis error: {scan.error}"
+        return scan
 
     if depth < MAX_NESTED_DEPTH:
-        for nested_label, nested_code in ctx.nested:
+        for nested_label, nested_code in scan.ctx.nested:
             nested = analyze_script(
                 nested_code,
                 label=f"{label}::{nested_label}",
@@ -187,7 +160,7 @@ def _run_rules(
             )
             if nested.parse_error is not None and report.parse_error is None:
                 report.parse_error = f"eval layer: {nested.parse_error}"
-    elif ctx.nested:
+    elif scan.ctx.nested:
         report.findings.append(
             Finding(
                 rule="eval-computed-string",
@@ -196,6 +169,7 @@ def _run_rules(
                 score=2.0,
             )
         )
+    return scan
 
 
 @dataclass
@@ -214,9 +188,8 @@ class DocumentJSAnalysis:
     @property
     def triage_eligible(self) -> bool:
         """True iff skipping Phase-II emulation provably cannot change
-        the verdict: no guards, and every script both parsed cleanly
-        and neither looks suspicious nor touches side-effect APIs —
-        or was proven channel-free by abstract interpretation."""
+        the verdict: no guards, and every script proven benign by
+        abstract interpretation."""
         if self.guards:
             return False
         return all(report.triage_eligible for report in self.reports)

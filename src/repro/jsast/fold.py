@@ -1,5 +1,4 @@
-"""Constant folding and string-concat propagation (mini abstract
-interpretation).
+"""Constant folding and string-concat propagation.
 
 Obfuscated droppers rarely write ``unescape("%u9090...")`` directly;
 they build the argument from concatenated fragments, ``String.
@@ -7,30 +6,52 @@ fromCharCode`` runs and single-assignment temporaries.  This pass
 evaluates the *provably constant* part of a script so the lint rules
 see through exactly that one layer:
 
-* literals, ``+`` concatenation/addition, numeric arithmetic, unary
-  ops and constant conditionals fold bottom-up;
-* ``String.fromCharCode``, ``unescape``, ``parseInt`` and the common
-  ``substr``/``substring``/``charAt``/``charCodeAt``/``concat``/
-  ``toLowerCase``/``toUpperCase``/``join`` methods fold when every
-  argument (and the receiver) is constant;
+* literals, binary and unary operators, and constant conditionals fold
+  bottom-up;
+* calls of the pure global builtins (``unescape``, ``parseInt``,
+  ``String``, ...), ``String.fromCharCode``, ``[...].join`` and every
+  string method fold when every argument (and the receiver) is
+  constant — unless the script rebinds the builtin's name;
 * identifiers substitute their initialiser value when the variable is
   assigned exactly once, by a top-level ``var`` declaration — anything
   reassigned, updated, or declared inside a loop/branch/function stays
   opaque (loops are never executed, so a doubling loop cannot blow the
   interpreter up).
 
-The pass is *sound for rules, not for execution*: a node either folds
-to the exact runtime constant or is left untouched.  Folded results
-are capped at :data:`MAX_FOLD_CHARS` to bound memory.
+There is one JS semantics: every constant operation is the runtime's
+own.  Conversions, operators and equality come from
+:mod:`repro.js.values`, builtin calls from the interpreter-free forms in
+:mod:`repro.js.builtins` — the same functions the bytecode VM runs —
+so a node either folds to exactly the value the VM computes or is left
+untouched.  The operation helpers below (``apply_binary``,
+``call_method``, ...) are shared with the abstract interpreter
+(:mod:`repro.jsast.absint`).  Folded strings are capped at
+:data:`MAX_FOLD_CHARS` to bound memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
-from typing import Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.js import nodes as ast
+from repro.js.builtins import (
+    PURE_GLOBALS,
+    STRING_FUNCTIONS,
+    from_char_code,
+    join_elements,
+    primitive_property,
+)
+from repro.js.values import (
+    UNDEFINED,
+    Primitive,
+    binary_op,
+    to_int32,
+    to_number,
+    to_string,
+    truthy,
+    type_of,
+)
 from repro.jsast.walk import walk
 
 #: Longest string a fold may produce; larger results stay unfolded.
@@ -39,71 +60,86 @@ MAX_FOLD_CHARS = 1 << 20
 #: Fixpoint passes: enough for var-to-var constant chains of depth 3.
 _MAX_PASSES = 3
 
-Const = Union[str, float, bool, None]
-
-_UNESCAPE_RE = re.compile(r"%u([0-9a-fA-F]{4})|%([0-9a-fA-F]{2})")
-
-
-def js_unescape(text: str) -> str:
-    """The classic ``unescape``: ``%uXXXX`` and ``%XX`` decoding."""
-
-    def replace(match: "re.Match[str]") -> str:
-        if match.group(1) is not None:
-            return chr(int(match.group(1), 16))
-        return chr(int(match.group(2), 16))
-
-    return _UNESCAPE_RE.sub(replace, text)
+#: ``instanceof`` and ``in`` need objects; every other operator folds.
+_UNFOLDABLE_OPS = ("instanceof", "in")
 
 
-def _to_js_string(value: Const) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        if value == int(value) and abs(value) < 1e21:
-            return str(int(value))
-        return repr(value)
-    return str(value)
-
-
-def _to_number(value: Const) -> Optional[float]:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if not text:
-            return 0.0
-        try:
-            return float(int(text, 0)) if text.lower().startswith("0x") else float(text)
-        except ValueError:
-            return None
-    return None
-
-
-class _Wrapped:
-    """Box distinguishing "folded to None/null" from "did not fold"."""
+class Folded:
+    """A constant value, boxed so that "folded to null/undefined" differs
+    from "did not fold" (``None``)."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Const) -> None:
+    def __init__(self, value: Any) -> None:
         self.value = value
 
 
-def _collect_stable_names(program: ast.Program) -> Set[str]:
-    """Names assigned exactly once, by a top-level ``var`` initialiser.
+# ---------------------------------------------------------------------------
+# Constant operations, evaluated through the runtime's own functions.
+# Each returns the runtime's result boxed (uncapped, possibly an object
+# such as ``split``'s array), or ``None`` when the operation cannot be
+# evaluated without an interpreter.
+
+
+def apply_binary(op: str, left: Primitive, right: Primitive) -> Optional[Folded]:
+    if op in _UNFOLDABLE_OPS:
+        return None
+    return Folded(binary_op(op, left, right))
+
+
+def apply_unary(op: str, value: Primitive) -> Optional[Folded]:
+    if op == "-":
+        return Folded(-to_number(value))
+    if op == "+":
+        return Folded(to_number(value))
+    if op == "!":
+        return Folded(not truthy(value))
+    if op == "~":
+        return Folded(float(~to_int32(value)))
+    if op == "typeof":
+        return Folded(type_of(value))
+    if op == "void":
+        return Folded(UNDEFINED)
+    return None
+
+
+def call_global(name: str, args: List[Primitive]) -> Optional[Folded]:
+    """``name(...args)`` for a pure global builtin (``unescape``, ...)."""
+    fn = PURE_GLOBALS.get(name)
+    return Folded(fn(args)) if fn is not None else None
+
+
+def call_method(receiver: Primitive, method: str, args: List[Primitive]) -> Optional[Folded]:
+    """``receiver[method](...args)`` for a string method on a string."""
+    fn = STRING_FUNCTIONS.get(method)
+    if fn is None or not isinstance(receiver, str):
+        return None
+    return Folded(fn(receiver, args))
+
+
+def read_member(obj: Primitive, name: str) -> Optional[Folded]:
+    """``obj[name]`` on a string, number or boolean."""
+    if isinstance(obj, (str, float, bool)):
+        return Folded(primitive_property(None, obj, name))
+    return None
+
+
+def is_primitive(value: Any) -> bool:
+    return value is None or value is UNDEFINED or isinstance(value, (str, bool, float))
+
+
+# ---------------------------------------------------------------------------
+# Name analysis
+
+
+def _collect_names(program: ast.Program) -> Tuple[Set[str], Set[str]]:
+    """``(stable, bound)``: names assigned exactly once, by a top-level
+    ``var`` initialiser, and every name the script binds at all.
 
     Any write anywhere else — assignment, ``++``/``--``, a ``for-in``
     target, a nested ``var``, a function declaration or parameter —
-    disqualifies the name.
+    disqualifies a name from ``stable``; any binding at all stops a
+    global builtin of that name from folding.
     """
     writes: Dict[str, int] = {}
     top_level: Set[str] = set()
@@ -145,7 +181,8 @@ def _collect_stable_names(program: ast.Program) -> Set[str]:
             for param in node.params:
                 bump(param, by=2)  # params are always runtime-varying
 
-    return {name for name in top_level if writes.get(name, 0) == 1}
+    stable = {name for name in top_level if writes.get(name, 0) == 1}
+    return stable, set(writes)
 
 
 class ConstantFolder:
@@ -153,17 +190,22 @@ class ConstantFolder:
 
     def __init__(self, program: ast.Program) -> None:
         self.program = program
-        self.stable = _collect_stable_names(program)
-        self.env: Dict[str, _Wrapped] = {}
-        #: Constant calls whose fold was abandoned because the (hostile)
-        #: arguments fall outside the builtin's total domain — e.g.
-        #: ``String.fromCharCode(Infinity)``.  Surfaced by the
+        self.stable, self.bound = _collect_names(program)
+        self.env: Dict[str, Folded] = {}
+        #: Constant operations left unfolded because their string value
+        #: would exceed :data:`MAX_FOLD_CHARS`.  Surfaced by the
         #: ``unfoldable`` lint rule; the expression stays opaque.
         self.unfoldable: List[str] = []
 
-    def _give_up(self, what: str) -> None:
-        if what not in self.unfoldable:
-            self.unfoldable.append(what)
+    def _const(self, result: Optional[Folded], what: str) -> Optional[Folded]:
+        """``result`` if it is a primitive within the size cap."""
+        if result is None or not is_primitive(result.value):
+            return None
+        if isinstance(result.value, str) and len(result.value) > MAX_FOLD_CHARS:
+            if what not in self.unfoldable:
+                self.unfoldable.append(what)
+            return None
+        return result
 
     # -- environment -----------------------------------------------------
 
@@ -181,27 +223,28 @@ class ConstantFolder:
 
     # -- expression folding ----------------------------------------------
 
-    def fold_expr(self, node: ast.Node) -> Optional[_Wrapped]:
+    def fold_expr(self, node: ast.Node) -> Optional[Folded]:
         """Fold ``node`` to a constant, or ``None`` when it may vary."""
-        if isinstance(node, ast.StringLiteral):
-            return _Wrapped(node.value)
+        if isinstance(node, (ast.StringLiteral, ast.BooleanLiteral)):
+            return Folded(node.value)
         if isinstance(node, ast.NumberLiteral):
-            return _Wrapped(float(node.value))
-        if isinstance(node, ast.BooleanLiteral):
-            return _Wrapped(node.value)
+            return Folded(float(node.value))
         if isinstance(node, ast.NullLiteral):
-            return _Wrapped(None)
+            return Folded(None)
+        if isinstance(node, ast.UndefinedLiteral):
+            return Folded(UNDEFINED)
         if isinstance(node, ast.Identifier):
             return self.env.get(node.name)
         if isinstance(node, ast.BinaryExpression):
             return self._fold_binary(node)
         if isinstance(node, ast.UnaryExpression):
-            return self._fold_unary(node)
+            operand = self.fold_expr(node.operand)
+            return apply_unary(node.op, operand.value) if operand is not None else None
         if isinstance(node, ast.ConditionalExpression):
             test = self.fold_expr(node.test)
             if test is None:
                 return None
-            branch = node.consequent if test.value else node.alternate
+            branch = node.consequent if truthy(test.value) else node.alternate
             return self.fold_expr(branch)
         if isinstance(node, ast.SequenceExpression):
             if not node.expressions:
@@ -213,176 +256,72 @@ class ConstantFolder:
             return self._fold_member(node)
         return None
 
-    def _fold_binary(self, node: ast.BinaryExpression) -> Optional[_Wrapped]:
+    def _fold_binary(self, node: ast.BinaryExpression) -> Optional[Folded]:
         left = self.fold_expr(node.left)
         if left is None:
             return None
         right = self.fold_expr(node.right)
         if right is None:
             return None
-        lv, rv = left.value, right.value
-        if node.op == "+":
-            if isinstance(lv, str) or isinstance(rv, str):
-                text = _to_js_string(lv) + _to_js_string(rv)
-                if len(text) > MAX_FOLD_CHARS:
-                    return None
-                return _Wrapped(text)
-            ln, rn = _to_number(lv), _to_number(rv)
-            if ln is None or rn is None:
-                return None
-            return _Wrapped(ln + rn)
-        ln, rn = _to_number(lv), _to_number(rv)
-        if ln is None or rn is None:
-            return None
-        try:
-            if node.op == "-":
-                return _Wrapped(ln - rn)
-            if node.op == "*":
-                return _Wrapped(ln * rn)
-            if node.op == "/":
-                return _Wrapped(ln / rn) if rn != 0 else None
-            if node.op == "%":
-                return _Wrapped(ln % rn) if rn != 0 else None
-        except (OverflowError, ValueError):
-            return None
-        return None
+        return self._const(apply_binary(node.op, left.value, right.value), node.op)
 
-    def _fold_unary(self, node: ast.UnaryExpression) -> Optional[_Wrapped]:
-        operand = self.fold_expr(node.operand)
-        if operand is None:
-            return None
-        if node.op == "-":
-            number = _to_number(operand.value)
-            return _Wrapped(-number) if number is not None else None
-        if node.op == "+":
-            number = _to_number(operand.value)
-            return _Wrapped(number) if number is not None else None
-        if node.op == "!":
-            return _Wrapped(not operand.value)
-        return None
+    def _member_name(self, node: ast.MemberExpression) -> Optional[str]:
+        """The property name of ``node``, as the VM computes it."""
+        if not node.computed:
+            return node.prop.name if isinstance(node.prop, ast.Identifier) else None
+        prop = self.fold_expr(node.prop)
+        return to_string(prop.value) if prop is not None else None
 
-    def _fold_member(self, node: ast.MemberExpression) -> Optional[_Wrapped]:
+    def _fold_member(self, node: ast.MemberExpression) -> Optional[Folded]:
         obj = self.fold_expr(node.obj)
-        if obj is None or not isinstance(obj.value, str):
+        if obj is None:
             return None
-        if not node.computed and isinstance(node.prop, ast.Identifier):
-            if node.prop.name == "length":
-                return _Wrapped(float(len(obj.value)))
+        name = self._member_name(node)
+        if name is None:
             return None
-        if node.computed:
-            index = self.fold_expr(node.prop)
-            if index is None:
-                return None
-            number = _to_number(index.value)
-            if number is None:
-                return None
-            i = int(number)
-            if 0 <= i < len(obj.value):
-                return _Wrapped(obj.value[i])
-        return None
+        return self._const(read_member(obj.value, name), name)
 
-    def _fold_call(self, node: ast.CallExpression) -> Optional[_Wrapped]:
+    def _fold_call(self, node: ast.CallExpression) -> Optional[Folded]:
         callee = node.callee
-        args: List[Const] = []
+        args: List[Primitive] = []
         for argument in node.arguments:
             folded = self.fold_expr(argument)
             if folded is None:
                 return None
             args.append(folded.value)
 
-        # Free functions: unescape / parseInt.
         if isinstance(callee, ast.Identifier):
-            if callee.name == "unescape" and len(args) == 1 and isinstance(args[0], str):
-                try:
-                    text = js_unescape(args[0])
-                except Exception:  # noqa: BLE001 - hostile escape soup
-                    self._give_up("unescape")
-                    return None
-                return _Wrapped(text) if len(text) <= MAX_FOLD_CHARS else None
-            if callee.name == "parseInt" and args and isinstance(args[0], str):
-                try:
-                    base = (
-                        int(_to_number(args[1]) or 10) if len(args) > 1 else 10
-                    )
-                    return _Wrapped(float(int(args[0].strip(), base)))
-                except (ValueError, TypeError, OverflowError):
-                    # Covers both genuine NaN results ("zz") and hostile
-                    # bases (Infinity, 1e308): parseInt never raises in
-                    # JS, so neither may its fold.
-                    return None
+            if callee.name in self.bound:
+                return None
+            return self._const(call_global(callee.name, args), callee.name)
+
+        if not isinstance(callee, ast.MemberExpression):
+            return None
+        method = self._member_name(callee)
+        if method is None:
             return None
 
-        if not isinstance(callee, ast.MemberExpression) or callee.computed:
-            return None
-        if not isinstance(callee.prop, ast.Identifier):
-            return None
-        method = callee.prop.name
-
-        # String.fromCharCode(...)
         if (
             method == "fromCharCode"
             and isinstance(callee.obj, ast.Identifier)
             and callee.obj.name == "String"
+            and "String" not in self.bound
         ):
-            chars: List[str] = []
-            for value in args:
-                number = _to_number(value)
-                if number is None:
-                    return None
-                try:
-                    chars.append(chr(int(number) & 0xFFFF))
-                except (ValueError, OverflowError):
-                    # NaN/Infinity code points: runtime maps them to
-                    # "\x00"; keeping the call opaque is the sound fold.
-                    self._give_up("String.fromCharCode")
-                    return None
-            return _Wrapped("".join(chars))
+            return self._const(Folded(from_char_code(args)), "String.fromCharCode")
 
-        # [ ... ].join(sep)
         if method == "join" and isinstance(callee.obj, ast.ArrayLiteral):
-            separator = _to_js_string(args[0]) if args else ","
-            parts: List[str] = []
+            elements: List[Primitive] = []
             for element in callee.obj.elements:
                 folded = self.fold_expr(element)
                 if folded is None:
                     return None
-                parts.append(_to_js_string(folded.value))
-            text = separator.join(parts)
-            return _Wrapped(text) if len(text) <= MAX_FOLD_CHARS else None
+                elements.append(folded.value)
+            return self._const(Folded(join_elements(elements, args)), "join")
 
-        # Constant-receiver string methods.
         receiver = self.fold_expr(callee.obj)
-        if receiver is None or not isinstance(receiver.value, str):
+        if receiver is None:
             return None
-        text = receiver.value
-        try:
-            if method in ("substr", "substring", "slice"):
-                start = int(_to_number(args[0]) or 0) if args else 0
-                if method == "substr":
-                    length = int(_to_number(args[1]) or 0) if len(args) > 1 else len(text)
-                    start = max(0, start if start >= 0 else len(text) + start)
-                    return _Wrapped(text[start : start + max(0, length)])
-                end = int(_to_number(args[1]) or 0) if len(args) > 1 else len(text)
-                return _Wrapped(text[max(0, start) : max(0, end)])
-            if method == "charAt":
-                i = int(_to_number(args[0]) or 0) if args else 0
-                return _Wrapped(text[i] if 0 <= i < len(text) else "")
-            if method == "charCodeAt":
-                i = int(_to_number(args[0]) or 0) if args else 0
-                return _Wrapped(float(ord(text[i]))) if 0 <= i < len(text) else None
-            if method == "concat":
-                joined = text + "".join(_to_js_string(a) for a in args)
-                return _Wrapped(joined) if len(joined) <= MAX_FOLD_CHARS else None
-            if method == "toLowerCase" and not args:
-                return _Wrapped(text.lower())
-            if method == "toUpperCase" and not args:
-                return _Wrapped(text.upper())
-            if method == "replace" and len(args) == 2:
-                if isinstance(args[0], str) and isinstance(args[1], str):
-                    return _Wrapped(text.replace(args[0], args[1], 1))
-        except (IndexError, ValueError, TypeError):
-            return None
-        return None
+        return self._const(call_method(receiver.value, method, args), method)
 
     # -- tree rewriting ----------------------------------------------------
 
@@ -417,14 +356,16 @@ class ConstantFolder:
         return rewritten
 
 
-def _constant_to_literal(value: Const) -> ast.Node:
+def _constant_to_literal(value: Primitive) -> ast.Node:
     if isinstance(value, bool):
         return ast.BooleanLiteral(value)
     if isinstance(value, float):
         return ast.NumberLiteral(value)
     if value is None:
         return ast.NullLiteral()
-    return ast.StringLiteral(value)
+    if isinstance(value, str):
+        return ast.StringLiteral(value)
+    return ast.UndefinedLiteral()
 
 
 def _rebuild(node: ast.Node, transform) -> ast.Node:

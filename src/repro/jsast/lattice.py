@@ -15,7 +15,8 @@ Elements (partial order ``BOTTOM ⊑ AbsConst ⊑ shape ⊑ TOP``):
 ``BOTTOM``
     unreachable / no value yet.
 ``AbsConst``
-    one exact JS value (string, number, boolean or null).
+    one exact JS primitive (string, number, boolean, null or
+    undefined), in the runtime's own representation.
 ``AbsNum``
     a number within a (possibly unbounded) :class:`Interval`.
 ``AbsStr``
@@ -40,9 +41,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
-Const = Union[str, float, bool, None]
+from repro.js.values import Primitive
 
 #: Shape kinds carried by :class:`AbsStr`.
 SHAPE_REPEATED = "repeated-unit"
@@ -155,7 +156,7 @@ LOCAL_OBJ = _LocalObj()
 
 @dataclass(frozen=True)
 class AbsConst(AbsValue):
-    value: Const
+    value: Primitive
 
 
 @dataclass(frozen=True)

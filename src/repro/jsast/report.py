@@ -3,8 +3,8 @@
 A :class:`Finding` is one rule firing on one script; a
 :class:`JSStaticReport` aggregates every finding for one script plus
 the obfuscation score and the script's *triage eligibility* — whether
-it is provably safe to skip runtime emulation for it.  Both serialise
-to JSON (``repro lint --json``, ``OpenReport.to_dict``).
+the proof tier proved it safe to skip runtime emulation for it.  Both
+serialise to JSON (``repro lint --json``, ``OpenReport.to_dict``).
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ MAX_EVIDENCE_CHARS = 160
 class Severity(enum.IntEnum):
     """How strongly a finding indicates malice.
 
-    ``INFO`` findings are advisory only — they never block the benign
-    triage fast path (but side-effect APIs, reported at INFO, block it
-    through a separate channel: they mean the script *does* something
-    the runtime detector scores, so its verdict cannot be synthesised
-    statically).
+    Findings are advisory evidence; only the proof tier grants triage.
+    A SUSPICIOUS+ finding on any layer the abstract interpreter analyses
+    blocks its PROVEN-BENIGN verdict (``INFO`` findings never do).
     """
 
     INFO = 1
@@ -35,7 +33,7 @@ class Severity(enum.IntEnum):
     PROVEN = 4
 
 
-#: Findings at or above this severity disqualify a script from triage.
+#: Findings at or above this severity block a PROVEN-BENIGN verdict.
 TRIAGE_SEVERITY = Severity.SUSPICIOUS
 
 
@@ -89,8 +87,8 @@ class JSStaticReport:
     #: Syntax/lexer error text when the script did not parse.
     parse_error: Optional[str] = None
     #: APIs with runtime side effects the detector scores (SOAP.request,
-    #: exportDataObject, app.setTimeOut, ...).  Non-empty ⇒ the runtime
-    #: verdict cannot be synthesised statically ⇒ triage-ineligible.
+    #: exportDataObject, app.setTimeOut, ...) that the script names.
+    #: Non-empty blocks a PROVEN-BENIGN verdict.
     side_effect_apis: List[str] = field(default_factory=list)
     #: The rule-set that produced this report (cache invalidation).
     ruleset_version: str = ""
@@ -124,18 +122,11 @@ class JSStaticReport:
 
     @property
     def triage_eligible(self) -> bool:
-        """May the runtime phase be skipped on the strength of this
-        analysis alone?  Fail-open: parse errors and side effects say
-        no — unless abstract interpretation *proved* the script cannot
-        reach a scored API channel (it sees through obfuscation layers
-        the one-shot classic rules must fail open on)."""
-        if self.proven_benign:
-            return True
-        return (
-            self.parse_error is None
-            and not self.suspicious
-            and not self.side_effect_apis
-        )
+        """May the runtime phase be skipped for this script?  Only when
+        abstract interpretation *proved* it cannot reach a scored API
+        channel; a clean lint result alone never suffices (aliasing and
+        computed names walk past syntactic checks)."""
+        return self.proven_benign
 
     def rules_fired(self) -> List[str]:
         return sorted({f.rule for f in self.findings})

@@ -26,7 +26,7 @@ from repro.jsast.report import Finding, Severity
 from repro.jsast.walk import walk
 
 #: Bump on semantic changes that do not alter the rule-id list.
-_RULESET_EPOCH = 1
+_RULESET_EPOCH = 2
 
 #: Doubling loops below this bound are normal string building; the
 #: corpus's benign report scripts double up to 3 072 chars, sprays to
@@ -571,29 +571,28 @@ def _api_probe(ctx: RuleContext) -> Iterable[Finding]:
 
 @rule("unfoldable")
 def _unfoldable(ctx: RuleContext) -> Iterable[Finding]:
-    """Constant builtin calls whose arguments fall outside the
-    builtin's total domain (``String.fromCharCode(Infinity)``, ...).
+    """Constant operations whose string value would exceed the fold cap
+    (``MAX_FOLD_CHARS``).
 
-    Advisory only: the folder leaves such expressions opaque instead of
-    crashing, and an INFO finding never blocks triage — but the note
-    matters for debugging why a seemingly-constant string stayed
-    unfolded."""
+    Advisory only: the folder leaves such expressions opaque, and an
+    INFO finding never blocks triage — but the note matters for
+    debugging why a seemingly-constant string stayed unfolded."""
     for what in ctx.folder.unfoldable:
         yield Finding(
             rule="unfoldable",
             severity=Severity.INFO,
-            message=f"constant {what} call left unfolded (hostile arguments)",
+            message=f"constant {what} left unfolded (result over the fold cap)",
             score=0.0,
         )
 
 
 def side_effect_apis(ctx: RuleContext) -> List[str]:
-    """Dotted paths of side-effect-capable APIs the script touches.
+    """Dotted paths of side-effect-capable APIs the script names.
 
-    Checked over *member accesses*, not just calls: even referencing
-    ``this.hostContainer.postMessage`` proves nothing executes, but
-    referencing ``SOAP.request`` then calling it through an alias would
-    evade a call-only check.
+    Collected over member accesses as well as calls.  This is evidence,
+    not a proof: an alias (``var s = SOAP; s.request(...)``) or a
+    computed name hides the call from any syntactic check, which is why
+    triage rests on the abstract interpreter's channels instead.
     """
     found: Set[str] = set()
     paths = set(ctx.member_paths)
@@ -610,6 +609,56 @@ def side_effect_apis(ctx: RuleContext) -> List[str]:
                 found.add(path)
                 break
     return sorted(found)
+
+
+@dataclass
+class RuleScan:
+    """One pass of the rule registry over one script layer."""
+
+    #: ``None`` when building the context crashed.
+    ctx: Optional[RuleContext]
+    findings: List[Finding]
+    side_effect_apis: List[str]
+    #: Why building the context crashed (``None`` when it did not).
+    error: Optional[str] = None
+
+
+def scan_rules(source: str, program: ast.Program) -> RuleScan:
+    """Build the context and run every registered rule, fail-open.
+
+    Never raises: a context crash or a crashing rule becomes a
+    SUSPICIOUS ``analysis-error`` finding (the other rules still run),
+    and a crashing side-effect scan reports the sentinel API
+    ``<analysis-error>`` — each of which blocks triage.
+    """
+    try:
+        ctx = build_context(source, program)
+    except Exception as exc:  # noqa: BLE001 - fail-open
+        finding = Finding(
+            rule="analysis-error",
+            severity=Severity.SUSPICIOUS,
+            message=f"constant folding crashed: {type(exc).__name__}",
+            score=1.0,
+        )
+        return RuleScan(None, [finding], [], f"{type(exc).__name__}: {exc}")
+    findings: List[Finding] = []
+    for rule_id, rule_fn in RULES.items():
+        try:
+            findings.extend(rule_fn(ctx))
+        except Exception as exc:  # noqa: BLE001 - one broken rule
+            findings.append(
+                Finding(
+                    rule="analysis-error",
+                    severity=Severity.SUSPICIOUS,
+                    message=f"rule {rule_id!r} crashed: {type(exc).__name__}",
+                    score=1.0,
+                )
+            )
+    try:
+        apis = side_effect_apis(ctx)
+    except Exception:  # noqa: BLE001 - fail-open: assume side effects
+        apis = ["<analysis-error>"]
+    return RuleScan(ctx, findings, apis)
 
 
 #: Version of the built-in rule-set at import time.

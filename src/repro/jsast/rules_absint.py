@@ -46,12 +46,13 @@ from repro.jsast.absint import (
     AbsintResult,
     interpret_script,
 )
+from repro.js import nodes as ast
 from repro.jsast.report import Finding, Severity
-from repro.jsast.rules import SPRAY_LENGTH_THRESHOLD
+from repro.jsast.rules import SPRAY_LENGTH_THRESHOLD, RuleScan
 
 #: Version stamp embedded in cache fingerprints: bump on any change to
 #: the interpreter's precision or the proof rules below.
-ABSINT_VERSION = "1"
+ABSINT_VERSION = "2"
 
 #: F8's threshold (Table VII ``memory_threshold_bytes``); duplicated as
 #: a literal to keep :mod:`repro.jsast` import-independent from
@@ -196,15 +197,24 @@ def evaluate(result: AbsintResult) -> Tuple[str, str, List[Finding]]:
     return "unknown", blocker, []
 
 
-def run_absint(code: str, *, label: str = "script") -> Dict[str, Any]:
+def run_absint(
+    code: str,
+    *,
+    label: str = "script",
+    program: Optional[ast.Program] = None,
+    scan: Optional[RuleScan] = None,
+) -> Dict[str, Any]:
     """Interpret ``code`` and evaluate the proof rules.  Never raises.
 
-    Returns the ``absint`` section stored on
-    :class:`repro.jsast.report.JSStaticReport`: verdict + reason +
-    proof findings + the full fact dump.
+    ``program``/``scan`` are the caller's parse and rule pass of
+    ``code``, reused for the top layer.  Returns the ``absint`` section
+    stored on :class:`repro.jsast.report.JSStaticReport`: verdict +
+    reason + proof findings + the full fact dump.
     """
     try:
-        result = interpret_script(code, max_steps=_max_steps(), label=label)
+        result = interpret_script(
+            code, max_steps=_max_steps(), label=label, program=program, scan=scan
+        )
     except Exception as exc:  # noqa: BLE001 - fail open, always
         return {
             "version": ABSINT_VERSION,

@@ -23,11 +23,20 @@ and delayed-execution countermeasures depend on exactly that.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Protocol
 
 from repro.js.errors import JSThrow
 from repro.js.runtime import Runtime
-from repro.js.values import JSArray, JSObject, NativeFunction, UNDEFINED, to_number, to_string
+from repro.js.values import (
+    JSArray,
+    JSObject,
+    NativeFunction,
+    UNDEFINED,
+    to_number,
+    to_string,
+    to_uint32,
+)
 
 
 class DocBinding(Protocol):
@@ -172,12 +181,14 @@ def _printf_format(fmt: str, args: List[Any]) -> str:
             conv = fmt[j]
             value = args[arg_index] if arg_index < len(args) else UNDEFINED
             arg_index += 1
+            number = to_number(value)
+            integer = int(number) if math.isfinite(number) else 0
             if conv == "d":
-                out.append(str(int(to_number(value)) if to_number(value) == to_number(value) else 0))
+                out.append(str(integer))
             elif conv in "fe":
-                out.append(str(to_number(value)))
+                out.append(str(number))
             elif conv == "x":
-                out.append(format(int(to_number(value)), "x"))
+                out.append(format(integer, "x"))
             else:
                 out.append(to_string(value))
             i = j + 1
@@ -203,7 +214,7 @@ def _build_util_object(interp: Runtime, binding: DocBinding) -> JSObject:
     util.set(
         "byteToChar",
         NativeFunction(
-            "byteToChar", lambda i, t, a: chr(int(to_number(_arg(a, 0, 0.0))) & 0xFF)
+            "byteToChar", lambda i, t, a: chr(to_uint32(_arg(a, 0, 0.0)) & 0xFF)
         ),
     )
     return util

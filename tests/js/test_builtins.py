@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 
 from repro.js import evaluate
 
@@ -194,3 +195,95 @@ class TestMathExtras:
 class TestStringTrim:
     def test_trim(self):
         assert evaluate("'  padded  '.trim()") == "padded"
+
+
+#: The edge values of ToIntegerOrInfinity / ToUint16, as JS source.
+EDGE_VALUES = {
+    "NaN": "0/0",
+    "+Infinity": "1/0",
+    "-Infinity": "-1/0",
+    "-0": "-0",
+    "2**53": "9007199254740992",
+}
+
+#: builtin (``X`` is the edge value) -> expected result per edge value.
+#: ``(255).toString(radix)`` with a radix outside 2..36 is a RangeError
+#: in ECMAScript; this runtime stays total and formats in base 10.
+EDGE_TABLE = {
+    "String.fromCharCode(X)": {
+        "NaN": "\x00", "+Infinity": "\x00", "-Infinity": "\x00",
+        "-0": "\x00", "2**53": "\x00",
+    },
+    '"abc".substr(X)': {
+        "NaN": "abc", "+Infinity": "", "-Infinity": "abc", "-0": "abc", "2**53": "",
+    },
+    '"abc".substr(1, X)': {
+        "NaN": "", "+Infinity": "bc", "-Infinity": "", "-0": "", "2**53": "bc",
+    },
+    '"abc".slice(X)': {
+        "NaN": "abc", "+Infinity": "", "-Infinity": "abc", "-0": "abc", "2**53": "",
+    },
+    '"abc".slice(0, X)': {
+        "NaN": "", "+Infinity": "abc", "-Infinity": "", "-0": "", "2**53": "abc",
+    },
+    '"abc".substring(X)': {
+        "NaN": "abc", "+Infinity": "", "-Infinity": "abc", "-0": "abc", "2**53": "",
+    },
+    '"abc".substring(1, X)': {
+        "NaN": "a", "+Infinity": "bc", "-Infinity": "a", "-0": "a", "2**53": "bc",
+    },
+    '"abc".charAt(X)': {
+        "NaN": "a", "+Infinity": "", "-Infinity": "", "-0": "a", "2**53": "",
+    },
+    '"abc".charCodeAt(X)': {
+        "NaN": 97.0, "+Infinity": math.nan, "-Infinity": math.nan,
+        "-0": 97.0, "2**53": math.nan,
+    },
+    '"abc".indexOf("b", X)': {
+        "NaN": 1.0, "+Infinity": -1.0, "-Infinity": 1.0, "-0": 1.0, "2**53": -1.0,
+    },
+    "[1,2,3].slice(X).join()": {
+        "NaN": "1,2,3", "+Infinity": "", "-Infinity": "1,2,3", "-0": "1,2,3", "2**53": "",
+    },
+    "(255).toString(X)": {
+        "NaN": "255", "+Infinity": "255", "-Infinity": "255", "-0": "255", "2**53": "255",
+    },
+    'parseInt("12", X)': {
+        "NaN": 12.0, "+Infinity": 12.0, "-Infinity": 12.0, "-0": 12.0, "2**53": 12.0,
+    },
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_VALUES))
+@pytest.mark.parametrize("builtin", sorted(EDGE_TABLE))
+def test_builtins_are_total_on_edge_numbers(builtin, edge):
+    """NaN, ±Infinity, -0 and 2**53 follow ToIntegerOrInfinity/ToUint16
+    instead of raising a raw Python ValueError/OverflowError."""
+    result = evaluate(builtin.replace("X", f"({EDGE_VALUES[edge]})"))
+    expected = EDGE_TABLE[builtin][edge]
+    if isinstance(expected, float) and math.isnan(expected):
+        assert math.isnan(result)
+    else:
+        assert result == expected and type(result) is type(expected)
+
+
+def test_nan_char_code_prefix_does_not_stop_a_scan():
+    """A ``String.fromCharCode(0/0)`` line used to raise out of the VM,
+    so the scan errored where a real reader keeps running."""
+    from repro.batch.scanner import BatchScanner
+    from repro.core.pipeline import ProtectionPipeline
+    from repro.pdf.builder import DocumentBuilder
+
+    builder = DocumentBuilder()
+    builder.add_page("x")
+    builder.add_javascript("var s = String.fromCharCode(0/0);")
+    data = builder.to_bytes()
+    report = ProtectionPipeline(seed=7).scan(data, "nan.pdf")
+    assert not report.errored
+    assert report.verdict is not None and not report.verdict.malicious
+    scanner = BatchScanner(jobs=1, backend="thread", cache=False).start()
+    try:
+        outcome = scanner.scan_one("nan.pdf", data)
+    finally:
+        scanner.shutdown()
+    assert outcome.summary.errored is False

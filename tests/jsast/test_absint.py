@@ -183,3 +183,84 @@ class TestResultSerialisation:
             payload["fills"][0]
         )
         assert isinstance(payload["layers"], list)
+
+
+class TestHostModels:
+    """``util.printd``/``util.printf`` are modelled as the reader runs
+    them, with constants named through the runtime's own semantics."""
+
+    def test_printf_named_through_runtime_modulo_is_not_benign(self):
+        # The VM computes -1 % 2 == -1, so this calls util.printf with a
+        # CVE-2008-2992 width; a Python-% fold would read util.printd.
+        from repro.jsast.rules_absint import run_absint
+
+        code = 'util["print" + String.fromCharCode(102 - ((-1 % 2) + 1))]("%45000f", 1.1);'
+        assert run_absint(code)["verdict"] != "proven-benign"
+
+    def test_benign_date_script_is_channel_free(self):
+        result = interpret_script(js.benign_date_script(random.Random(3)))
+        assert result.status == "ok"
+        assert not result.channels
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            'util.printf("%45000f", 1.1);',
+            'util.printf("%s", app.doc.path);',
+            'if (0) { util.printf("%s", "x"); }',
+            'function f() { util.printf("%s", "x"); } f();',
+            'var s = ""; for (var i = 0; i < 3; i++) { s += "%4500"; util.printf(s + "0f", 1); }',
+        ],
+        ids=["malformed", "opaque-arg", "unreached", "function-body", "loop-varying"],
+    )
+    def test_printf_without_exact_harmless_arguments_is_a_channel(self, code):
+        result = interpret_script(code)
+        assert any(channel.path == "util.printf" for channel in result.channels)
+
+    def test_printd_returns_its_second_argument(self):
+        code = 'var d = util.printd("yyyy", "2013"); eval(d + ";");'
+        result = interpret_script(code)
+        assert result.max_depth == 1
+        assert not result.channels
+
+
+class TestRebinding:
+    """A trusted global or host method rebound by the script is no
+    longer trusted, and a name that ever held a host object is not
+    local just because it ends up bound to a local value: calling
+    either is a channel, not a harmless call."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            'unescape = eval; unescape("x");',
+            'function f() { String = eval; } f(); String("x");',
+            'eval("parseInt = eval;"); parseInt("x");',
+            'function g() {} g = eval; g("x");',
+            'app.alert = eval; app.alert("x");',
+            'var u = util; u.printd = eval; util.printd("y", "x");',
+            'this["get" + "Field"] = eval; this.getField("x");',
+            'var k = app.doc.path; util[k] = eval;',
+            'var o = SOAP; o.request({}); o = {};',
+            'o = SOAP; o.request({}); o = {};',
+            'eval(app.doc.path); eval = function () {};',
+            'function g() {} function f(g) { g("x"); } f(eval);',
+            'function f() { function g() {} g = eval; g("x"); } f();',
+            'var o = {}; function f(o) { o.request({}); } f(SOAP);',
+        ],
+        ids=["global", "global-in-function", "global-in-eval-layer",
+             "declared-function", "host-method", "aliased-host-method",
+             "computed-host-write", "unknown-host-write",
+             "alias-rebound-after-use", "implicit-global-alias",
+             "eval-rebound-after-use", "parameter-shadows-function",
+             "inner-function-rebound", "parameter-shadows-local"],
+    )
+    def test_rebound_trusted_api_blocks_the_benign_proof(self, code):
+        assert interpret_script(code).channels
+
+    def test_writes_to_local_objects_and_plain_fields_are_harmless(self):
+        code = (
+            'var o = {}; o.alert = 1; var f = this.getField("total"); '
+            'f.value = 3; var a = []; a[0] = "x";'
+        )
+        assert not interpret_script(code).channels

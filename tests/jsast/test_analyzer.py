@@ -85,6 +85,37 @@ class TestAnalyzeScript:
             == 1
         )
 
+    def test_one_parse_and_one_rule_pass_per_script(self, monkeypatch):
+        """The proof tier reuses the script's parse and rule context."""
+        import sys
+
+        import repro.js.parser
+        import repro.jsast.rules
+
+        calls = {"parse": 0, "build_context": 0}
+
+        def spy(name, original):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counting
+
+        for name, original in (
+            ("parse", repro.js.parser.parse),
+            ("build_context", repro.jsast.rules.build_context),
+        ):
+            counting = spy(name, original)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro.") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counting)
+
+        report = analyze_script("var s = 'a' + 'b'; app.alert(s.length);")
+        assert report.absint is not None
+        assert calls == {"parse": 1, "build_context": 1}
+
     def test_report_roundtrips_through_dict(self):
         report = analyze_script('var s = unescape("%u9090%u9090");')
         clone = JSStaticReport.from_dict(report.to_dict())

@@ -1,13 +1,12 @@
 """Constant folding / string-concat propagation."""
 
+import math
+
+from repro.js import evaluate
 from repro.js import nodes as ast
+from repro.js.builtins import unescape as js_unescape
 from repro.js.parser import parse
-from repro.jsast.fold import (
-    MAX_FOLD_CHARS,
-    ConstantFolder,
-    fold_program,
-    js_unescape,
-)
+from repro.jsast.fold import MAX_FOLD_CHARS, ConstantFolder, fold_program
 from repro.jsast.walk import walk
 
 
@@ -65,9 +64,8 @@ class TestExpressionFolding:
 
     def test_constant_ternary(self):
         folded = fold_source('var x = (1 < 2) ? "yes" : "no";')
-        # The test 1 < 2 is not folded (comparison ops stay opaque), so
-        # the ternary survives — but both branches are still literals.
         assert "yes" in const_strings(folded)
+        assert "no" not in const_strings(folded)
 
     def test_member_length(self):
         folded = fold_source('var s = "abcd"; var n = s.length;')
@@ -144,9 +142,9 @@ class TestObfuscatedIdioms:
 
 
 class TestHostileArguments:
-    """Builtin folds must be total: hostile constant arguments leave
-    the expression opaque (with an ``unfoldable`` note) — they never
-    raise out of the folder (ISSUE 8 satellite)."""
+    """Builtin folds are total: hostile constant arguments fold to the
+    value the VM computes (the shared builtins map NaN/±Infinity the
+    ECMAScript way) — they never raise out of the folder."""
 
     def _fold(self, source):
         program = parse(source)
@@ -154,13 +152,18 @@ class TestHostileArguments:
         folder.run()
         return folder
 
-    def test_fromcharcode_infinity_stays_opaque(self):
-        folder = self._fold("var c = String.fromCharCode(1e308 * 10);")
-        assert "String.fromCharCode" in folder.unfoldable
+    def test_fromcharcode_infinity_folds_like_the_runtime(self):
+        source = "var c = String.fromCharCode(1e308 * 10);"
+        folder = self._fold(source)
+        assert folder.env["c"].value == "\x00" == evaluate(source + " c")
+        assert folder.unfoldable == []
 
-    def test_parseint_infinite_radix_stays_opaque(self):
-        folder = self._fold('var n = parseInt("ff", 1e308 * 10);')
-        assert folder.env.get("n") is None  # did not fold, did not raise
+    def test_parseint_infinite_radix_folds_like_the_runtime(self):
+        # ToInt32(Infinity) is 0, so the radix defaults to 10.
+        source = 'var n = parseInt("ff", 1e308 * 10);'
+        folder = self._fold(source)
+        assert math.isnan(folder.env["n"].value)
+        assert math.isnan(evaluate(source + " n"))
 
     def test_infinity_stringifies(self):
         folded = fold_source('var s = "" + (1e308 * 10);')
@@ -174,7 +177,11 @@ class TestHostileArguments:
     def test_unfoldable_rule_fires_at_info_only(self):
         from repro.jsast.analyzer import analyze_script
 
-        report = analyze_script("var c = String.fromCharCode(1e308 * 10);")
+        # Doubling a 1 Mi-char constant overshoots MAX_FOLD_CHARS: the
+        # concatenation stays opaque and is noted as unfoldable.
+        lines = ['var a0 = "xxxxxxxx";']
+        lines += [f"var a{i} = a{i - 1} + a{i - 1};" for i in range(1, 19)]
+        report = analyze_script("\n".join(lines))
         assert report.parse_error is None
         unfoldable = [f for f in report.findings if f.rule == "unfoldable"]
         assert unfoldable

@@ -39,7 +39,7 @@ class TestRegistry:
 
     def test_version_is_stable(self):
         assert ruleset_version() == ruleset_version()
-        assert ruleset_version().startswith("1.")
+        assert ruleset_version().startswith("2.")
 
 
 class TestMemberPath:

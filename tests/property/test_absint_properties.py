@@ -89,12 +89,8 @@ def test_benign_triage_never_granted_on_truncated_analysis(script, budget):
         report = analyze_script(script)
     if report.absint and report.absint["status"] != "ok":
         assert not report.proven_benign
-        # Eligibility may still hold via the classic path, but only
-        # for scripts the one-shot rules see completely.
-        if report.triage_eligible:
-            assert report.parse_error is None
-            assert not report.suspicious
-            assert not report.side_effect_apis
+        # The proof tier is the only triage authority.
+        assert not report.triage_eligible
 
 
 @given(text=st.text(max_size=400))

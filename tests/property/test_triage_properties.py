@@ -16,9 +16,11 @@ the triage fast path enabled must agree with the full-emulation run:
   must match exactly.
 
 The pool mixes triage-eligible documents (no JS, clean JS), documents
-that are clean but triage-ineligible (SOAP side-effect channel), a
-provably malicious spray document, and unparseable garbage, so the
-property exercises every branch of the fast path.
+that are clean but triage-ineligible (SOAP side-effect channel, also
+reached through an alias, a computed name, a rebound global and an
+overwritten host method), a provably
+malicious spray document, and unparseable garbage, so the property
+exercises every branch of the fast path.
 """
 
 import pytest
@@ -32,6 +34,19 @@ from tests.conftest import spray_js
 pytestmark = pytest.mark.batch
 
 SEED = 7
+
+_SOAP_ARGS = '{cURL: "http://example.invalid/", oRequest: {}}'
+_SOAP_CODE = f"SOAP.request({_SOAP_ARGS});".replace('"', "'")
+ALIASED_SOAP = {
+    "soap-alias.pdf": f"var s = SOAP; s.request({_SOAP_ARGS});",
+    "soap-computed.pdf": (
+        'function f() { return "req" + "uest"; } '
+        f"SOAP[f()]({_SOAP_ARGS});"
+    ),
+    # A trusted global or host method rebound to eval.
+    "soap-rebound-global.pdf": f'unescape = eval; unescape("{_SOAP_CODE}");',
+    "soap-host-write.pdf": f'app.alert = eval; app.alert("{_SOAP_CODE}");',
+}
 
 
 def _pool():
@@ -50,6 +65,15 @@ def _pool():
     soap.add_page("soap client")
     soap.add_javascript(js.benign_soap_script())
     docs.append(("soap.pdf", soap.to_bytes()))
+
+    # A side-effect API reached through an alias, a computed name or a
+    # rebound trusted API: no syntactic check sees the call, only the
+    # proof tier's channels.
+    for name, code in ALIASED_SOAP.items():
+        builder = DocumentBuilder()
+        builder.add_page("soap alias")
+        builder.add_javascript(code)
+        docs.append((name, builder.to_bytes()))
 
     malicious = DocumentBuilder()
     malicious.add_page("")
@@ -121,3 +145,17 @@ def test_triage_actually_skips_on_this_pool():
     assert not reports["soap.pdf"].triaged
     assert not reports["broken-js.pdf"].triaged
     assert not reports["garbage.pdf"].triaged
+
+
+def test_aliased_side_effects_take_the_full_path():
+    """Both scan malicious bare; the triaged scan must not flip them to
+    a synthesised benign verdict."""
+    pool = dict(POOL)
+    fast_pipeline = ProtectionPipeline(seed=SEED, triage=True)
+    full_pipeline = ProtectionPipeline(seed=SEED, triage=False)
+    for name in ALIASED_SOAP:
+        fast = fast_pipeline.scan(pool[name], name)
+        full = full_pipeline.scan(pool[name], name)
+        assert full.verdict.malicious, name
+        assert not fast.triaged, name
+        assert _agrees(fast, full), name
