@@ -38,6 +38,7 @@ def stub_report(name, malicious=False):
         did_nothing=not malicious,
         errored=False,
         error=None,
+        to_dict=lambda: {},
     )
 
 
