@@ -58,12 +58,25 @@ class ScanRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # One write per response: ``wfile`` buffers the headers and the
+    # body, and ``handle_one_request`` flushes them together.  Written
+    # as two segments, the body would wait in Nagle's buffer for the
+    # client's delayed ACK (~40 ms per keep-alive request).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
     @property
     def service(self) -> ScanService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def handle_expect_100(self) -> bool:
+        # The interim response must not wait in the buffer: the client
+        # holds the body back until it arrives.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def log_message(self, format: str, *args: Any) -> None:
         # Access logging goes through obs metrics, not stderr noise.

@@ -8,7 +8,10 @@ responding while scans are in flight.
 
 import base64
 import concurrent.futures as cf
+import http.client
 import json
+import socket
+import statistics
 import time
 import urllib.parse
 
@@ -195,3 +198,75 @@ class TestBodyLimitAndDrain:
             assert "Retry-After" in headers
         finally:
             handle.stop()
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_are_not_stalled(self, corpus_docs):
+        """A response written as two segments (headers, then body) sits
+        in Nagle's buffer until the client's delayed ACK, ~40 ms per
+        request on a busy keep-alive connection.  Back-to-back requests
+        on one connection must cost no more than fresh connections."""
+        service = ScanService(settings=service_settings(), jobs=1, cache=False)
+        handle = start_server(service)
+        host, port = handle.server.server_address[:2]
+        body = corpus_docs["benign.pdf"]
+        path = "/scan?name=benign.pdf"
+
+        def post(connection):
+            start = time.perf_counter()
+            connection.request("POST", path, body=body)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            return time.perf_counter() - start
+
+        def fresh():
+            connection = http.client.HTTPConnection(host, port, timeout=60.0)
+            try:
+                return post(connection)
+            finally:
+                connection.close()
+
+        try:
+            fresh_times = [fresh() for _ in range(20)]
+            shared = http.client.HTTPConnection(host, port, timeout=60.0)
+            try:
+                for _ in range(2):
+                    post(shared)
+                kept_times = [post(shared) for _ in range(20)]
+            finally:
+                shared.close()
+        finally:
+            handle.stop()
+        kept, fresh_median = (
+            statistics.median(kept_times), statistics.median(fresh_times)
+        )
+        assert kept <= fresh_median + 0.015, (
+            f"keep-alive median {kept * 1e3:.1f} ms vs fresh "
+            f"{fresh_median * 1e3:.1f} ms"
+        )
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, http_server, corpus_docs
+    ):
+        """Clients such as curl send ``Expect: 100-continue`` for large
+        bodies and hold the body back until the interim response; a
+        buffered response writer must still send it at once."""
+        host, port = http_server.server.server_address[:2]
+        body = corpus_docs["benign.pdf"]
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /scan?name=benign.pdf HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            )
+            interim = sock.recv(64)
+            assert interim.startswith(b"HTTP/1.1 100"), interim
+            sock.sendall(body)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(65536)
+                assert chunk, "server closed before replying"
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200"), reply[:80]
