@@ -69,7 +69,7 @@ from repro.cluster.worker import ShardConfig, decode_result, run_shard
 from repro.core.pipeline import PipelineSettings
 from repro.limits import merge_deadlines
 from repro.obs.metrics import Metrics
-from repro.serve.app import HANG_GRACE_SECONDS, ServeResult
+from repro.serve.app import HANG_GRACE_SECONDS, ServeResult, fan_out
 
 #: Shard lifecycle states.
 SHARD_LIVE = "live"
@@ -616,26 +616,7 @@ class ClusterRouter:
         with cf.ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-cluster-batch"
         ) as pool:
-            futures = [
-                pool.submit(self.handle_scan, data, name, limits_spec)
-                for name, data in items
-            ]
-            entries: List[Dict[str, Any]] = []
-            counts = {"ok": 0, "shed": 0, "failed": 0}
-            for (name, _), future in zip(items, futures):
-                result = future.result()
-                entries.append(
-                    {"name": name, "status": result.status, **result.payload}
-                )
-                if result.ok:
-                    counts["ok"] += 1
-                elif result.status in (429, 503):
-                    counts["shed"] += 1
-                else:
-                    counts["failed"] += 1
-        return ServeResult(
-            200, {"total": len(entries), "counts": counts, "items": entries}
-        )
+            return fan_out(pool, self.handle_scan, items, limits_spec)
 
     def handle_job_status(self, job_token: str) -> ServeResult:
         """Route an async-job poll to the shard that owns the job.

@@ -32,7 +32,7 @@ import concurrent.futures as cf
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import limits as limits_mod
 from repro import obs as obs_mod
@@ -72,6 +72,35 @@ class ServeResult:
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
+
+
+def fan_out(
+    pool: cf.Executor,
+    handle_scan: Callable[[bytes, str, Optional[str]], ServeResult],
+    items: Sequence[Tuple[str, bytes]],
+    limits_spec: Optional[str] = None,
+) -> ServeResult:
+    """The multi-status ``/batch`` answer: every item runs through
+    ``handle_scan`` on ``pool`` and reports its own status, counted as
+    ok, shed (429/503) or failed; the batch itself answers 200."""
+    futures = [
+        pool.submit(handle_scan, data, name, limits_spec)
+        for name, data in items
+    ]
+    entries: List[Dict[str, Any]] = []
+    counts = {"ok": 0, "shed": 0, "failed": 0}
+    for (name, _), future in zip(items, futures):
+        result = future.result()
+        entries.append({"name": name, "status": result.status, **result.payload})
+        if result.ok:
+            counts["ok"] += 1
+        elif result.status in (429, 503):
+            counts["shed"] += 1
+        else:
+            counts["failed"] += 1
+    return ServeResult(
+        200, {"total": len(entries), "counts": counts, "items": entries}
+    )
 
 
 class ScanService:
@@ -333,25 +362,7 @@ class ScanService:
                 503, {"error": "service stopping"},
                 retry_after=self.admission.config.retry_after_seconds,
             )
-        futures = [
-            pool.submit(self.handle_scan, data, name, limits_spec)
-            for name, data in items
-        ]
-        entries: List[Dict[str, Any]] = []
-        counts = {"ok": 0, "shed": 0, "failed": 0}
-        for (name, _), future in zip(items, futures):
-            result = future.result()
-            entry = {"name": name, "status": result.status, **result.payload}
-            entries.append(entry)
-            if result.ok:
-                counts["ok"] += 1
-            elif result.status in (429, 503):
-                counts["shed"] += 1
-            else:
-                counts["failed"] += 1
-        return ServeResult(
-            200, {"total": len(entries), "counts": counts, "items": entries}
-        )
+        return fan_out(pool, self.handle_scan, items, limits_spec)
 
     def handle_async_submit(
         self,

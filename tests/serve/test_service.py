@@ -1,6 +1,10 @@
 """In-process service semantics: verdict identity, caching, limits,
 shedding and drain — no sockets involved."""
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
 import threading
 import time
 
@@ -293,3 +297,47 @@ class TestOverloadAndDrain:
         assert metrics.payload["admission"]["admitted"] >= 1
         assert "jobs" in metrics.payload
         assert "cache" in metrics.payload
+
+
+class TestDeadWorker:
+    def test_killed_pool_worker_is_replaced_on_next_submit(
+        self, corpus_docs, expected_verdicts
+    ):
+        """A SIGKILLed process-pool worker breaks the executor; the next
+        request must get a fresh pool and the bare ``pipeline.scan``
+        verdict, not a permanent 503 while ``/healthz`` says 200."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        service = ScanService(
+            settings=service_settings(), jobs=1, backend="process", cache=False,
+        ).start()
+        try:
+            first = service.handle_scan(corpus_docs["benign.pdf"], "benign.pdf")
+            assert first.status == 200
+            workers = [
+                child for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+            assert workers, "process backend started no pool worker"
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            # A sentinel turns ready when its process exits.  The pool's
+            # manager thread watches the same sentinels and marks the
+            # executor broken; give it a moment to do so.
+            sentinels = [worker.sentinel for worker in workers]
+            deadline = time.monotonic() + 10.0
+            while sentinels and time.monotonic() < deadline:
+                for ready in multiprocessing.connection.wait(sentinels, 1.0):
+                    sentinels.remove(ready)
+            assert not sentinels, "killed pool worker never exited"
+            time.sleep(0.5)
+            for _ in range(3):
+                result = service.handle_scan(
+                    corpus_docs["benign.pdf"], "benign.pdf"
+                )
+                assert result.status == 200, result.payload
+                assert_verdict_matches(
+                    result.payload, expected_verdicts["benign.pdf"],
+                    "benign.pdf",
+                )
+        finally:
+            service.drain(timeout=10.0)
